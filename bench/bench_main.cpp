@@ -14,6 +14,14 @@
 // row violates its bound or fails validation, so the runner doubles as a
 // regression gate.
 //
+// A `builder` section times ConcurrentUpDown schedule construction alone
+// on seeded random cubic graphs at n in {512, 2048} (the request-path
+// workload's graph family): median build ns, ns per transmission, and the
+// same-run ratio simulate_ns / build_ns against a word-parallel simulation
+// of the same schedule.  The ratio is host-independent; the sentinel gates
+// it.  Each builder row must also meet Theorem 1 (n + r rounds) and
+// complete in simulation.
+//
 //   bench_main [--out FILE] [--quick] [--sanity]
 //
 // --out     output path (default BENCH_gossip.json)
@@ -22,6 +30,7 @@
 //           model: a run against the disabled (null) registry must leave
 //           no named metrics behind, and the per-increment overhead of the
 //           disabled path is reported next to the enabled path.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,6 +38,7 @@
 #include <vector>
 
 #include "gossip/bounds.h"
+#include "gossip/concurrent_updown.h"
 #include "gossip/simple.h"
 #include "gossip/solve.h"
 #include "gossip/updown.h"
@@ -39,6 +49,7 @@
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "obs/span.h"
+#include "sim/network_sim.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
 
@@ -119,6 +130,84 @@ std::uint64_t paper_bound_for(gossip::Algorithm algorithm, std::size_t n,
   return 0;
 }
 
+/// Median of a small sample (taken by value: sorted in place).
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// The `builder` section: ConcurrentUpDown construction cost against a
+/// same-run simulation of the same schedule.  Returns false on a gate
+/// failure (Theorem 1 or incomplete simulation).
+bool write_builder_rows(obs::JsonWriter& w) {
+  constexpr int kReps = 5;
+  bool all_ok = true;
+  w.key("builder").begin_array();
+  for (const graph::Vertex n : {512u, 2048u}) {
+    Rng rng(0xb17dULL + n);  // fixed seed: rows are reproducible
+    const auto g = graph::random_regular_configuration(n, 3, rng);
+    const auto instance = gossip::Instance::from_network(g);
+    const auto tree_graph = instance.tree().as_graph();
+    const auto initial = instance.initial();
+    sim::SimOptions sim_options;
+    sim_options.keep_final_holds = false;
+
+    std::vector<double> build_ns;
+    std::vector<double> simulate_ns;
+    std::size_t transmissions = 0;
+    std::size_t deliveries = 0;
+    std::size_t rounds = 0;
+    bool complete = true;
+    // Rep 0 is an untimed warm-up (first-touch page faults, allocator).
+    for (int rep = 0; rep <= kReps; ++rep) {
+      Stopwatch build_watch;
+      const auto schedule = gossip::concurrent_updown(instance);
+      const double built = build_watch.seconds() * 1e9;
+      Stopwatch sim_watch;
+      const auto result =
+          sim::simulate(tree_graph, schedule, initial, sim_options);
+      const double simulated = sim_watch.seconds() * 1e9;
+      if (rep > 0) {
+        build_ns.push_back(built);
+        simulate_ns.push_back(simulated);
+      }
+      complete = complete && result.completed;
+      transmissions = schedule.transmission_count();
+      deliveries = schedule.delivery_count();
+      rounds = schedule.total_time();
+    }
+    const double build = median(build_ns);
+    const double simulate = median(simulate_ns);
+    const std::size_t r = instance.radius();
+    const bool row_ok =
+        complete && rounds == gossip::concurrent_updown_time(n, r);
+    all_ok = all_ok && row_ok;
+
+    w.begin_object();
+    w.field("name", "random_cubic/n=" + std::to_string(n));
+    w.field("n", static_cast<std::uint64_t>(n));
+    w.field("r", static_cast<std::uint64_t>(r));
+    w.field("rounds", static_cast<std::uint64_t>(rounds));
+    w.field("transmissions", static_cast<std::uint64_t>(transmissions));
+    w.field("deliveries", static_cast<std::uint64_t>(deliveries));
+    w.field("reps", static_cast<std::uint64_t>(kReps));
+    w.field("build_ns", build);
+    w.field("build_ns_per_tx", build / static_cast<double>(transmissions));
+    w.field("simulate_ns", simulate);
+    w.field("simulate_over_build", simulate / build);
+    w.field("valid", row_ok);
+    w.end_object();
+
+    std::printf("builder random_cubic/n=%-5u tx=%8zu build=%8.1f ms "
+                "(%5.1f ns/tx) simulate=%7.1f ms simulate/build=%.3f %s\n",
+                n, transmissions, build / 1e6,
+                build / static_cast<double>(transmissions), simulate / 1e6,
+                simulate / build, row_ok ? "ok" : "VIOLATION");
+  }
+  w.end_array();
+  return all_ok;
+}
+
 int run_suite(const std::string& out_path, bool quick) {
   const auto suite = build_suite(quick);
   constexpr gossip::Algorithm kAlgorithms[] = {
@@ -139,6 +228,7 @@ int run_suite(const std::string& out_path, bool quick) {
   w.begin_object();
   w.field("schema_version", 1);
   w.field("suite", "gossip");
+  w.field("quick", quick);  // the sentinel baselines quick and full apart
   w.key("rows").begin_array();
 
   bool all_ok = true;
@@ -185,6 +275,8 @@ int run_suite(const std::string& out_path, bool quick) {
   }
 
   w.end_array();
+  registry.set_enabled(false);  // time the builder without obs sinks
+  all_ok = write_builder_rows(w) && all_ok;
   w.end_object();
   out << '\n';
 

@@ -21,7 +21,7 @@
 //     baseline by more than the tolerance (default +25%, e.g. sim_ns_p50);
 //   * ratio metrics  (kind "speedup")  — fail when current falls below the
 //     baseline by more than the tolerance (default -30%, e.g. the engine
-//     warm speedup);
+//     warm speedup or the gossip builder's simulate/build ratio);
 //   * exact metrics  (round counts)    — deterministic under the fixed
 //     bench seeds; any increase fails.
 //
@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -107,6 +108,18 @@ std::optional<SuiteRow> reduce(const JsonValue& doc) {
   if (out.suite == "gossip") {
     exact("rounds_total", sum_over_rows(doc.at("rows"), "rounds"));
     time("wall_ns_total", sum_over_rows(doc.at("rows"), "wall_ns"), 0.75);
+    if (doc.has("builder")) {
+      // ConcurrentUpDown construction: the same-run simulate/build ratio
+      // holds across hosts; ns per transmission is host-scoped.
+      for (const JsonValue& row : doc.at("builder").array) {
+        const std::string n = std::to_string(
+            static_cast<std::uint64_t>(row.at("n").as_number()));
+        speedup("simulate_over_build_" + n,
+                row.at("simulate_over_build").as_number());
+        time("build_ns_per_tx_" + n, row.at("build_ns_per_tx").as_number(),
+             0.5);
+      }
+    }
   } else if (out.suite == "fault") {
     speedup("core_speedup_p50",
             doc.at("sim_core").at("speedup_p50").as_number());

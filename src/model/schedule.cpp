@@ -8,13 +8,23 @@
 
 namespace mg::model {
 
-void Schedule::add(std::size_t t, Transmission tx) {
+Schedule::Schedule(std::vector<Round> rounds) : rounds_(std::move(rounds)) {
+  for (const auto& round : rounds_) {
+    for (const auto& tx : round) check_receivers(tx);
+  }
+}
+
+void Schedule::check_receivers(const Transmission& tx) {
   MG_EXPECTS_MSG(!tx.receivers.empty(), "transmission must have receivers");
   MG_EXPECTS_MSG(std::is_sorted(tx.receivers.begin(), tx.receivers.end()),
                  "receiver set must be sorted");
   MG_EXPECTS_MSG(std::adjacent_find(tx.receivers.begin(),
                                     tx.receivers.end()) == tx.receivers.end(),
                  "receiver set must be duplicate-free");
+}
+
+void Schedule::add(std::size_t t, Transmission tx) {
+  check_receivers(tx);
   if (t >= rounds_.size()) rounds_.resize(t + 1);
   rounds_[t].push_back(std::move(tx));
 }

@@ -41,6 +41,11 @@ class Schedule {
   Schedule() = default;
   explicit Schedule(std::size_t rounds) : rounds_(rounds) {}
 
+  /// Takes fully built rounds (e.g. from a builder that sized them from
+  /// per-round counts).  Every transmission passes the same receiver
+  /// contract as `add`.
+  explicit Schedule(std::vector<Round> rounds);
+
   [[nodiscard]] std::size_t round_count() const { return rounds_.size(); }
   [[nodiscard]] const Round& round(std::size_t t) const { return rounds_[t]; }
   [[nodiscard]] const std::vector<Round>& rounds() const { return rounds_; }
@@ -77,6 +82,9 @@ class Schedule {
   [[nodiscard]] std::string to_string() const;
 
  private:
+  /// The D-set contract of `add`: non-empty, sorted, duplicate-free.
+  static void check_receivers(const Transmission& tx);
+
   std::vector<Round> rounds_;
 };
 

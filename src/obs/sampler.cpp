@@ -129,12 +129,15 @@ void Sampler::write_json(std::ostream& out) const {
 }
 
 void Sampler::run_loop() {
+  // A started sampler samples at least once: the first sample is taken on
+  // thread entry, even when stop() lands before the thread is scheduled.
+  sample_now();
   std::unique_lock<std::mutex> lock(mutex_);
-  while (!stop_requested_) {
+  while (!cv_.wait_for(lock, options_.cadence,
+                       [this] { return stop_requested_; })) {
     lock.unlock();
     sample_now();
     lock.lock();
-    cv_.wait_for(lock, options_.cadence, [this] { return stop_requested_; });
   }
 }
 

@@ -59,7 +59,9 @@ class Sampler {
   ~Sampler();  // stops the thread
 
   /// Starts the background thread; returns false (and stays inert) when
-  /// already running or when the build compiled observability out.
+  /// already running or when the build compiled observability out.  A
+  /// started thread takes its first sample on entry, so a sampler that
+  /// was started has sampled at least once by the time stop() returns.
   bool start();
 
   /// Stops and joins the thread; idempotent.

@@ -2,10 +2,16 @@
 // components Propagate-Up (Lemma 2) and Propagate-Down (Lemma 3).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "gossip/bounds.h"
 #include "gossip/concurrent_updown.h"
+#include "gossip/online.h"
 #include "graph/generators.h"
 #include "graph/named.h"
+#include "support/fingerprint.h"
 #include "support/rng.h"
 #include "test_util.h"
 #include "tree/spanning_tree.h"
@@ -250,6 +256,165 @@ TEST(ConcurrentUpDown, StrictlyFasterThanSimpleBeyondTinyTrees) {
         instance.radius() - 3;
     EXPECT_LT(concurrent_updown(instance).total_time(), simple_time)
         << family.name;
+  }
+}
+
+// ---- Byte identity --------------------------------------------------------
+//
+// The schedule is pinned exactly: same rounds, same transmission order
+// within each round, same receiver lists.  `model::equivalent` ignores the
+// order within a round, so these tests compare round for round instead.
+
+/// Digest of every (t, sender, message, receivers) tuple in schedule order.
+std::uint64_t schedule_digest(const model::Schedule& schedule) {
+  Fingerprint64 fp;
+  fp.update(schedule.round_count());
+  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
+    for (const auto& tx : schedule.round(t)) {
+      fp.update(t);
+      fp.update(tx.sender);
+      fp.update(tx.message);
+      fp.update(tx.receivers.size());
+      for (graph::Vertex r : tx.receivers) fp.update(r);
+    }
+  }
+  return fp.digest();
+}
+
+/// Round-for-round exact comparison; returns the first difference.
+std::string first_difference(const model::Schedule& a,
+                             const model::Schedule& b) {
+  if (a.round_count() != b.round_count()) {
+    return "round counts " + std::to_string(a.round_count()) + " vs " +
+           std::to_string(b.round_count());
+  }
+  for (std::size_t t = 0; t < a.round_count(); ++t) {
+    const auto& ra = a.round(t);
+    const auto& rb = b.round(t);
+    if (ra.size() != rb.size()) {
+      return "t=" + std::to_string(t) + ": " + std::to_string(ra.size()) +
+             " vs " + std::to_string(rb.size()) + " transmissions";
+    }
+    for (std::size_t x = 0; x < ra.size(); ++x) {
+      if (ra[x].sender != rb[x].sender || ra[x].message != rb[x].message ||
+          ra[x].receivers != rb[x].receivers) {
+        return "t=" + std::to_string(t) + " position " + std::to_string(x) +
+               ": sender " + std::to_string(ra[x].sender) + " vs " +
+               std::to_string(rb[x].sender);
+      }
+    }
+  }
+  return {};
+}
+
+graph::Graph random_cubic(graph::Vertex n, std::uint64_t seed) {
+  Rng rng(seed);
+  return graph::random_regular_configuration(n, 3, rng);
+}
+
+graph::Graph random_tree_graph(graph::Vertex n, std::uint64_t seed) {
+  Rng rng(seed);
+  return graph::random_tree(n, rng);
+}
+
+TEST(ConcurrentUpDownIdentity, MatchesOnlineRoundForRoundOnRandomCubic) {
+  for (graph::Vertex n : {4u, 16u, 64u, 128u, 512u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const auto instance = Instance::from_network(random_cubic(n, seed));
+      EXPECT_EQ(first_difference(concurrent_updown(instance),
+                                 run_online(instance)),
+                "")
+          << "n=" << n << " seed=" << seed;
+    }
+  }
+}
+
+TEST(ConcurrentUpDownIdentity, MatchesOnlineRoundForRoundOnRandomTrees) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const auto n = static_cast<graph::Vertex>(2 + rng.below(200));
+    const auto g = graph::random_tree(n, rng);
+    // Rooting at vertex 0 as well as at the center varies the tree shapes.
+    std::vector<Instance> instances;
+    instances.push_back(Instance::from_network(g));
+    instances.push_back(Instance(tree::root_tree_graph(g, 0)));
+    for (const auto& instance : instances) {
+      EXPECT_EQ(first_difference(concurrent_updown(instance),
+                                 run_online(instance)),
+                "")
+          << "seed=" << seed << " n=" << n;
+    }
+  }
+}
+
+TEST(ConcurrentUpDownIdentity, MatchesOnlineRoundForRoundAcrossFamilies) {
+  for (const auto& family : test::families()) {
+    for (graph::Vertex knob : {3u, 5u, 8u, 13u}) {
+      const auto instance = Instance::from_network(family.make(knob));
+      EXPECT_EQ(first_difference(concurrent_updown(instance),
+                                 run_online(instance)),
+                "")
+          << family.name << " knob=" << knob;
+    }
+  }
+}
+
+struct GoldenCase {
+  const char* name;
+  graph::Graph (*make)();
+  bool lookahead;
+  std::uint64_t merged;  ///< digest of concurrent_updown
+  std::uint64_t up;      ///< digest of propagate_up
+  std::uint64_t down;    ///< digest of propagate_down
+};
+
+TEST(ConcurrentUpDownIdentity, GoldenDigests) {
+  // Recorded from the original event-list builder (global sort of every
+  // send, then fusion); the closed-form emitter must reproduce them bit
+  // for bit, including the no-lookahead ablation run_online cannot express.
+  const GoldenCase cases[] = {
+      {"fig4", [] { return graph::fig4_network(); }, true,
+       2002300955314546550ULL, 13668186937186858759ULL,
+       6981877154357357354ULL},
+      {"fig4_no_lookahead", [] { return graph::fig4_network(); }, false,
+       1035417733191545277ULL, 3445128499373688637ULL,
+       6981877154357357354ULL},
+      {"cubic64_s7", [] { return random_cubic(64, 7); }, true,
+       4258819493050958221ULL, 16437199580246743723ULL,
+       310627423398568703ULL},
+      {"cubic512_s1", [] { return random_cubic(512, 1); }, true,
+       17950029104259527543ULL, 2413307332818458943ULL,
+       7510882814173869537ULL},
+      {"cubic256_s3_no_lookahead", [] { return random_cubic(256, 3); }, false,
+       7445195764334247366ULL, 13139875378362060613ULL,
+       1527185924642002196ULL},
+      {"tree200_s3", [] { return random_tree_graph(200, 3); }, true,
+       16511440511090039975ULL, 1189595462709278687ULL,
+       3122184708997950975ULL},
+      {"tree100_s11_no_lookahead", [] { return random_tree_graph(100, 11); },
+       false,
+       9311069572475034258ULL, 9661200832210524084ULL,
+       6870183937131190443ULL},
+      {"grid9x13", [] { return graph::grid(9, 13); }, true,
+       8670656146328406479ULL, 2249043700586996669ULL,
+       9495961538655529336ULL},
+      {"path31", [] { return graph::path(31); }, true,
+       4413422491123185260ULL, 6883031493054572466ULL,
+       3461147383871852852ULL},
+      {"cycle40_no_lookahead", [] { return graph::cycle(40); }, false,
+       14559023299090262041ULL, 1129272293360919011ULL,
+       16612614345906113171ULL},
+  };
+  for (const auto& c : cases) {
+    const auto instance = Instance::from_network(c.make());
+    ConcurrentUpDownOptions options;
+    options.lookahead_at_time_zero = c.lookahead;
+    EXPECT_EQ(schedule_digest(concurrent_updown(instance, options)), c.merged)
+        << c.name << " merged";
+    EXPECT_EQ(schedule_digest(propagate_up(instance, options)), c.up)
+        << c.name << " up";
+    EXPECT_EQ(schedule_digest(propagate_down(instance)), c.down)
+        << c.name << " down";
   }
 }
 

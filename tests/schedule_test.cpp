@@ -43,6 +43,19 @@ TEST(Schedule, ReceiverSetMustBeSortedUniqueNonEmpty) {
   EXPECT_THROW(s.add(0, {0, 0, {}}), ContractViolation);
   EXPECT_THROW(s.add(0, {0, 0, {3, 1}}), ContractViolation);
   EXPECT_THROW(s.add(0, {0, 0, {1, 1}}), ContractViolation);
+  // The same contract holds for rounds handed over whole.
+  for (std::vector<Vertex> bad : {std::vector<Vertex>{},
+                                  std::vector<Vertex>{3, 1},
+                                  std::vector<Vertex>{1, 1}}) {
+    std::vector<Round> rounds(2);
+    rounds[1].push_back({0, 0, bad});
+    EXPECT_THROW(Schedule{std::move(rounds)}, ContractViolation);
+  }
+  std::vector<Round> rounds(2);
+  rounds[1].push_back({5, 2, {1, 3}});
+  const Schedule whole(std::move(rounds));
+  EXPECT_EQ(whole.round_count(), 2u);
+  EXPECT_EQ(whole.round(1).front().receivers, (std::vector<Vertex>{1, 3}));
 }
 
 TEST(Schedule, CountsAndFanout) {
