@@ -13,16 +13,27 @@
 // from the `dist.round_ns` observability histogram — the honest price of
 // decentralization relative to the flat replay loop.
 //
+// A second table, `faulty`, runs the request-path shape at scale: seeded
+// random cubic graphs, 1% link drops, recovery on.  Each row reports serial
+// and threaded ns per delivery and `replay_over_dist`, the same-run ratio
+// of the flat replay of exactly the delivered traffic (emergent main phase
+// plus emergent repair, via `sim::simulate` / `simulate_from_holds`) to the
+// serial actor run — a host-independent price of decentralization.  The
+// recovery round and control-message counts are deterministic under the
+// fixed seeds; the sentinel gates them exactly.
+//
 // The bench doubles as a regression gate: a row fails (process exits
 // nonzero) when the emergent schedule diverges from the central one, the
-// run does not complete, or a fault-free ConcurrentUpDown execution does
-// not span exactly n + r rounds (Theorem 1).
+// run does not complete, a fault-free ConcurrentUpDown execution does not
+// span exactly n + r rounds (Theorem 1), or a faulty row's replay does not
+// end in the actors' final hold sets.
 //
 //   dist_bench [--out FILE] [--threads N] [--quick]
 //
 // --out      output path (default BENCH_dist.json)
 // --threads  worker count for the threaded rows (default 4)
-// --quick    cycle + Petersen only (CI-friendly)
+// --quick    cycle + Petersen, and faulty n = 256 only (CI-friendly)
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,17 +42,123 @@
 #include <vector>
 
 #include "dist/runtime.h"
+#include "fault/fault.h"
 #include "gossip/solve.h"
 #include "graph/generators.h"
 #include "graph/named.h"
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "sim/network_sim.h"
+#include "support/rng.h"
 #include "support/stopwatch.h"
 
 namespace {
 
 using namespace mg;
+
+std::uint64_t median(std::vector<std::uint64_t> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+double per(std::uint64_t ns, std::size_t units) {
+  return units == 0 ? 0.0
+                    : static_cast<double>(ns) / static_cast<double>(units);
+}
+
+/// One `faulty` row: ConcurrentUpDown on a seeded random cubic graph with
+/// 1% drops and recovery, timed as the median of `trials` runs per
+/// executor.  Returns false when the row's gate fails.
+bool faulty_row(obs::JsonWriter& w, graph::Vertex n, std::size_t threads,
+                std::size_t trials) {
+  Rng rng(0xd15700 + n);
+  const graph::Graph g = graph::random_regular_configuration(n, 3, rng);
+  fault::FaultPlan plan;
+  plan.drop_rate(0.01).seed(n);
+  const gossip::Solution central =
+      gossip::solve_gossip(g, gossip::Algorithm::kConcurrentUpDown);
+  const std::size_t horizon = central.schedule.round_count();
+
+  const auto run_dist = [&](std::size_t workers, dist::RunReport& report) {
+    dist::RuntimeOptions options;
+    options.faults = &plan;
+    options.threads = workers;
+    dist::ActorRuntime runtime(central.instance, g, options);
+    runtime.use_online_rule();
+    Stopwatch watch;
+    report = runtime.run(horizon);
+    return static_cast<std::uint64_t>(watch.seconds() * 1e9);
+  };
+
+  dist::RunReport serial_run;
+  dist::RunReport threaded_run;
+  std::vector<std::uint64_t> serial_ns;
+  std::vector<std::uint64_t> threaded_ns;
+  std::vector<std::uint64_t> replay_ns;
+  bool replay_ok = true;
+  for (std::size_t trial = 0; trial < trials; ++trial) {
+    serial_ns.push_back(run_dist(0, serial_run));
+    threaded_ns.push_back(run_dist(threads, threaded_run));
+    // The flat loop replays exactly the traffic the actors delivered.
+    Stopwatch watch;
+    const sim::SimResult main_replay =
+        sim::simulate(g, serial_run.emergent, central.instance.initial());
+    const sim::SimResult repair_replay =
+        sim::simulate_from_holds(g, serial_run.repair, main_replay.final_holds);
+    replay_ns.push_back(static_cast<std::uint64_t>(watch.seconds() * 1e9));
+    replay_ok = replay_ok && main_replay.final_holds == serial_run.main_holds &&
+                repair_replay.final_holds == serial_run.final_holds;
+  }
+  const std::uint64_t serial = median(serial_ns);
+  const std::uint64_t threaded = median(threaded_ns);
+  const std::uint64_t replay = median(replay_ns);
+  const double replay_over_dist =
+      serial == 0 ? 0.0
+                  : static_cast<double>(replay) / static_cast<double>(serial);
+  const bool same = serial_run.deliveries == threaded_run.deliveries &&
+                    serial_run.control_messages ==
+                        threaded_run.control_messages &&
+                    serial_run.recovery_rounds == threaded_run.recovery_rounds;
+  const bool ok = serial_run.complete && threaded_run.complete && same &&
+                  replay_ok;
+
+  const std::string name = "cubic/n=" + std::to_string(n) + "/drop=0.01";
+  w.begin_object();
+  w.field("name", name);
+  w.field("n", static_cast<std::uint64_t>(n));
+  w.field("r", static_cast<std::uint64_t>(central.instance.radius()));
+  w.field("rounds", static_cast<std::uint64_t>(horizon));
+  w.field("trials", static_cast<std::uint64_t>(trials));
+  w.field("recovery_rounds",
+          static_cast<std::uint64_t>(serial_run.recovery_rounds));
+  w.field("control_messages",
+          static_cast<std::uint64_t>(serial_run.control_messages));
+  w.field("injected_drops",
+          static_cast<std::uint64_t>(serial_run.injected_drops));
+  w.field("deliveries", static_cast<std::uint64_t>(serial_run.deliveries));
+  w.field("central_ns", replay);
+  w.field("dist_serial_ns", serial);
+  w.field("dist_threaded_ns", threaded);
+  w.field("serial_ns_per_delivery", per(serial, serial_run.deliveries));
+  w.field("threaded_ns_per_delivery", per(threaded, serial_run.deliveries));
+  w.field("replay_over_dist", replay_over_dist);
+  w.field("threaded_over_serial",
+          serial == 0 ? 0.0
+                      : static_cast<double>(threaded) /
+                            static_cast<double>(serial));
+  w.field("complete", serial_run.complete && threaded_run.complete);
+  w.field("replay_match", replay_ok);
+  w.end_object();
+
+  std::printf("%-26s recovery=%3zu control=%7zu serial=%7.1f ns/delivery "
+              "threaded=%7.1f ns/delivery replay/dist=%.3f %s\n",
+              name.c_str(), serial_run.recovery_rounds,
+              serial_run.control_messages,
+              per(serial, serial_run.deliveries),
+              per(threaded, serial_run.deliveries), replay_over_dist,
+              ok ? "ok" : "VIOLATION");
+  return ok;
+}
 
 int run(const std::string& out_path, std::size_t threads, bool quick) {
   std::vector<std::pair<std::string, graph::Graph>> graphs = {
@@ -71,6 +188,7 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
   w.begin_object();
   w.field("schema_version", 1);
   w.field("suite", "dist");
+  w.field("quick", quick);
   w.field("threads", static_cast<std::uint64_t>(threads));
   w.key("rows").begin_array();
 
@@ -161,6 +279,16 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
   }
 
   w.end_array();
+
+  w.key("faulty").begin_array();
+  const std::vector<graph::Vertex> faulty_sizes =
+      quick ? std::vector<graph::Vertex>{256}
+            : std::vector<graph::Vertex>{256, 1024};
+  for (const graph::Vertex n : faulty_sizes) {
+    all_ok = faulty_row(w, n, threads, quick ? 5 : 3) && all_ok;
+    ++row_count;
+  }
+  w.end_array();
   w.end_object();
   out << '\n';
 
@@ -168,7 +296,7 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
   if (!all_ok) {
     std::fprintf(stderr,
                  "dist_bench: emergent schedule diverged, run incomplete, "
-                 "or n + r violated\n");
+                 "n + r violated, or a faulty replay mismatched\n");
     return 1;
   }
   return 0;

@@ -10,7 +10,7 @@
 //      "host": "...", "rev": "...", "metrics": {"sim_ns_p50": ..., ...}}
 //
 // `sentinel append` reduces the current BENCH_{gossip,fault,engine,scale,
-// churn,models}.json files into one summary row per suite and appends them
+// churn,models,dist}.json files into one summary row per suite and appends them
 // to the history.  `sentinel check` reduces the same files and compares
 // each metric against the *median of the trailing matching rows* (same
 // suite and quick flag; wall-clock metrics additionally require the same
@@ -21,9 +21,10 @@
 //     baseline by more than the tolerance (default +25%, e.g. sim_ns_p50);
 //   * ratio metrics  (kind "speedup")  — fail when current falls below the
 //     baseline by more than the tolerance (default -30%, e.g. the engine
-//     warm speedup or the gossip builder's simulate/build ratio);
-//   * exact metrics  (round counts)    — deterministic under the fixed
-//     bench seeds; any increase fails.
+//     warm speedup, the gossip builder's simulate/build ratio, or the
+//     dist replay/actor-run ratio);
+//   * exact metrics  (round and message counts) — deterministic under the
+//     fixed bench seeds; any increase fails.
 //
 // Metrics with no matching baseline are reported and skipped — the first
 // run on a new host gates nothing and seeds the history instead.  CI runs
@@ -149,6 +150,21 @@ std::optional<SuiteRow> reduce(const JsonValue& doc) {
     exact("model_rounds_total",
           sum_over_rows(doc.at("rows"), "model_rounds"));
     time("wall_ns_total", sum_over_rows(doc.at("rows"), "wall_ns"), 0.75);
+  } else if (out.suite == "dist") {
+    // The request-path shape (seeded cubic graphs, drops, recovery): the
+    // replay/actor-run ratio holds across hosts, and the recovery protocol's
+    // round and control-message counts are fixed by the seeds.
+    if (!doc.has("faulty")) return std::nullopt;
+    const JsonValue& faulty = doc.at("faulty");
+    for (const JsonValue& row : faulty.array) {
+      const std::string n = std::to_string(
+          static_cast<std::uint64_t>(row.at("n").as_number()));
+      speedup("replay_over_dist_" + n,
+              row.at("replay_over_dist").as_number());
+    }
+    exact("recovery_rounds_total", sum_over_rows(faulty, "recovery_rounds"));
+    exact("control_messages_total",
+          sum_over_rows(faulty, "control_messages"));
   } else {
     return std::nullopt;  // unknown suite: nothing to gate
   }
@@ -241,8 +257,9 @@ void write_history_row(std::ostream& out, const SuiteRow& row,
 }
 
 const char* const kSuiteFiles[] = {
-    "BENCH_gossip.json", "BENCH_fault.json", "BENCH_engine.json",
-    "BENCH_scale.json",  "BENCH_churn.json", "BENCH_models.json",
+    "BENCH_gossip.json", "BENCH_fault.json",  "BENCH_engine.json",
+    "BENCH_scale.json",  "BENCH_churn.json",  "BENCH_models.json",
+    "BENCH_dist.json",
 };
 
 int usage() {

@@ -1,7 +1,7 @@
 #include "dist/actor.h"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 
 #include "support/contracts.h"
 
@@ -10,30 +10,9 @@ namespace mg::dist {
 using graph::Vertex;
 using model::Message;
 
-namespace {
-
-/// Bit `m` of a digest's word vector (false past the end — a shorter
-/// digest simply offers nothing there).
-bool digest_test(const std::vector<std::uint64_t>& words, Message m) {
-  const std::size_t w = static_cast<std::size_t>(m) >> 6;
-  if (w >= words.size()) return false;
-  return (words[w] >> (m & 63)) & 1;
-}
-
-}  // namespace
-
-TimetableRule::TimetableRule(const model::Schedule& schedule,
-                             graph::Vertex self) {
-  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
-    for (const auto& tx : schedule.round(t)) {
-      if (tx.sender == self) rows_.emplace_back(t, tx);
-    }
-  }
-}
-
 std::optional<model::Transmission> TimetableRule::decide(std::size_t t) {
   if (next_ >= rows_.size() || rows_[next_].first != t) return std::nullopt;
-  return rows_[next_++].second;
+  return std::move(rows_[next_++].second);  // each row fires once
 }
 
 ProcessorActor::ProcessorActor(Vertex self, Vertex n, Message initial,
@@ -93,14 +72,13 @@ void ProcessorActor::learn(const std::vector<Envelope>& inbox) {
 Outbox ProcessorActor::step_digest() {
   Outbox out;
   out.control_cause = last_trace_;
-  Envelope digest;
+  const std::vector<std::uint64_t>& words = holds_.words();
+  digest_snapshot_.assign(words.begin(), words.end());
+  Envelope& digest = out.control.emplace();
   digest.kind = Envelope::Kind::kDigest;
   digest.sender = self_;
-  digest.digest = holds_.words();
-  for (const Vertex u : neighbors_) {
-    out.control.push_back(digest);
-    out.control_to.push_back(u);
-  }
+  digest.digest = digest_snapshot_;
+  out.control_to = neighbors_;
   return out;
 }
 
@@ -113,7 +91,10 @@ Outbox ProcessorActor::step_grant(const std::vector<Envelope>& inbox) {
   if (complete()) return out;
 
   // Which live neighbor offers the most messages I lack?  (A neighbor
-  // whose digest is absent is presumed crashed.)
+  // whose digest is absent is presumed crashed.)  Word-parallel: the
+  // wanted set is digest & ~holds, a word at a time; bits past n are zero
+  // in every hold set, so they are never wanted.
+  const std::vector<std::uint64_t>& mine = holds_.words();
   Vertex best = graph::kNoVertex;
   std::size_t best_offered = 0;
   Message best_request = 0;
@@ -122,15 +103,15 @@ Outbox ProcessorActor::step_grant(const std::vector<Envelope>& inbox) {
     if (e.kind != Envelope::Kind::kDigest) continue;
     std::size_t offered = 0;
     Message lowest = 0;
-    bool any = false;
-    for (Message m = 0; m < n_; ++m) {
-      if (!holds_.test(m) && digest_test(e.digest, m)) {
-        ++offered;
-        if (!any) {
-          lowest = m;
-          any = true;
-        }
+    const std::size_t words = std::min(e.digest.size(), mine.size());
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t wanted = e.digest[w] & ~mine[w];
+      if (wanted == 0) continue;
+      if (offered == 0) {
+        lowest = static_cast<Message>(w * 64 + static_cast<std::size_t>(
+                                                    std::countr_zero(wanted)));
       }
+      offered += static_cast<std::size_t>(std::popcount(wanted));
     }
     if (offered > best_offered ||
         (offered == best_offered && offered > 0 && e.sender < best)) {
@@ -144,38 +125,53 @@ Outbox ProcessorActor::step_grant(const std::vector<Envelope>& inbox) {
 
   quiescent_ = false;
   out.control_cause = best_trace;  // the digest that won the reservation
-  Envelope grant;
+  Envelope& grant = out.control.emplace();
   grant.kind = Envelope::Kind::kGrant;
   grant.sender = self_;
   grant.message = best_request;
-  out.control.push_back(std::move(grant));
-  out.control_to.push_back(best);
+  // Digests come only from network neighbors, so `best` is one of them.
+  const auto it = std::find(neighbors_.begin(), neighbors_.end(), best);
+  MG_ASSERT(it != neighbors_.end());
+  out.control_to = std::span(neighbors_).subspan(
+      static_cast<std::size_t>(it - neighbors_.begin()), 1);
   return out;
 }
 
 Outbox ProcessorActor::step_data(const std::vector<Envelope>& inbox) {
   Outbox out;
   learn(inbox);
-  // Votes: requested message -> granters, in deterministic order (the bus
-  // sorts each inbox canonically before its seeded shuffle, so we re-sort
-  // here to stay order-independent).
-  std::map<Message, std::vector<Vertex>> votes;
+  // Votes as (requested message, granter) pairs, sorted so the result does
+  // not depend on the inbox's seeded shuffle.
+  votes_.clear();
   for (const Envelope& e : inbox) {
     if (e.kind != Envelope::Kind::kGrant) continue;
     MG_ASSERT_MSG(holds_.test(e.message),
                   "grant requested a message the digest never offered");
-    votes[e.message].push_back(e.sender);
+    votes_.emplace_back(e.message, e.sender);
   }
-  if (votes.empty()) return out;
-  auto winner = votes.begin();
-  for (auto it = std::next(votes.begin()); it != votes.end(); ++it) {
-    if (it->second.size() > winner->second.size()) winner = it;
+  if (votes_.empty()) return out;
+  std::sort(votes_.begin(), votes_.end());
+  // The most-requested message; ties go to the lowest id (the first run).
+  std::size_t winner = 0;
+  std::size_t winner_votes = 0;
+  for (std::size_t run = 0; run < votes_.size();) {
+    std::size_t end = run + 1;
+    while (end < votes_.size() && votes_[end].first == votes_[run].first) {
+      ++end;
+    }
+    if (end - run > winner_votes) {
+      winner = run;
+      winner_votes = end - run;
+    }
+    run = end;
   }
   model::Transmission tx;
-  tx.message = winner->first;
+  tx.message = votes_[winner].first;
   tx.sender = self_;
-  tx.receivers = std::move(winner->second);
-  std::sort(tx.receivers.begin(), tx.receivers.end());
+  tx.receivers.reserve(winner_votes);
+  for (std::size_t i = winner; i < winner + winner_votes; ++i) {
+    tx.receivers.push_back(votes_[i].second);  // sorted by granter id
+  }
   out.data_cause = first_trace_[tx.message];
   out.data = std::move(tx);
   return out;

@@ -24,7 +24,9 @@
 //
 //  1. digest — every live actor multicasts its hold bitmap to its network
 //     neighbors.  A neighbor whose digest is missing is presumed crashed
-//     (heartbeat failure detection).
+//     (heartbeat failure detection).  The envelopes view a snapshot the
+//     actor owns; it is rewritten only by the actor's next digest step,
+//     after every reader has consumed it.
 //  2. grant — an actor still missing messages picks the neighbor whose
 //     digest offers the most of them (ties: lowest id), and reserves it
 //     with a grant naming one wanted message (lowest id offered).  One
@@ -43,6 +45,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dist/mailbox.h"
@@ -85,8 +89,12 @@ class OnlineRule final : public LocalRule {
 /// centrally computed schedule, replayed at the specified times.
 class TimetableRule final : public LocalRule {
  public:
-  /// Extracts the rows whose sender is `self` from `schedule`.
-  TimetableRule(const model::Schedule& schedule, graph::Vertex self);
+  /// One (send time, transmission) row, in increasing time order.
+  using Row = std::pair<std::size_t, model::Transmission>;
+
+  /// Takes this actor's own rows (`ActorRuntime::use_timetable` buckets a
+  /// schedule by sender in one pass).
+  explicit TimetableRule(std::vector<Row> rows) : rows_(std::move(rows)) {}
 
   void observe(std::size_t, model::Message, bool) override {}
 
@@ -94,17 +102,22 @@ class TimetableRule final : public LocalRule {
       std::size_t t) override;
 
  private:
-  std::vector<std::pair<std::size_t, model::Transmission>> rows_;
+  std::vector<Row> rows_;
   std::size_t next_ = 0;
 };
 
 /// What an actor wants to put on the wire this round; the runtime applies
-/// the fault plan, stamps trace ids, and routes it.
+/// the fault plan, stamps trace ids, and routes it.  Owns no heap storage
+/// beyond `data`: a control message is one envelope plus a view of its
+/// receivers.
 struct Outbox {
   std::optional<model::Transmission> data;  ///< main-phase or recovery data
   bool skipped = false;  ///< rule fired but the message was never received
-  std::vector<Envelope> control;            ///< digests / grants
-  std::vector<graph::Vertex> control_to;    ///< parallel to `control`
+  /// A digest or grant, sent unchanged to every vertex of `control_to`.
+  std::optional<Envelope> control;
+  /// Views the sending actor's network-neighbor list (all of it for a
+  /// digest, the one granted neighbor for a grant).
+  std::span<const graph::Vertex> control_to;
   /// Causal parent of `data`: the trace id of the arrival that first gave
   /// this actor the message it is sending (0 = held initially).
   std::uint64_t data_cause = 0;
@@ -143,7 +156,9 @@ class ProcessorActor {
 
   // --- recovery subrounds (each reads the previous subround's inbox) ------
 
-  /// Subround 1: multicast own hold bitmap to every network neighbor.
+  /// Subround 1: multicast own hold bitmap to every network neighbor.  The
+  /// envelopes view this actor's digest snapshot, which stays unchanged
+  /// until the next call.
   [[nodiscard]] Outbox step_digest();
 
   /// Subround 2: read neighbor digests, reserve the best offering neighbor.
@@ -173,6 +188,10 @@ class ProcessorActor {
   /// Most recent hold-changing data arrival — the digest's causal parent.
   std::uint64_t last_trace_ = 0;
   bool quiescent_ = true;
+  /// holds_ words as of the last step_digest; digest envelopes view it.
+  std::vector<std::uint64_t> digest_snapshot_;
+  /// step_data scratch: (requested message, granter) pairs.
+  std::vector<std::pair<model::Message, graph::Vertex>> votes_;
 };
 
 }  // namespace mg::dist

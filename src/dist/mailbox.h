@@ -5,8 +5,9 @@
 // bus buffers them by arrival time — a message posted at round t arrives at
 // t + 1 (+ any per-edge fault delay) — behind mutex-striped locks so
 // concurrent senders never contend on one global lock.  At the round
-// barrier `flip()` moves every due envelope into its receiver's read-only
-// inbox in a *deterministic* order: envelopes are first sorted by a
+// barrier `flip()` swaps every due box with its receiver's read-only inbox
+// (both keep their capacity, so a warm bus allocates nothing) and orders
+// the inbox *deterministically*: envelopes are first sorted by a
 // canonical key (kind, sender, message) to erase the thread-interleaving
 // order they were posted in, then shuffled with an Rng seeded from
 // (seed, round, receiver).  The shuffle makes delivery order adversarial —
@@ -17,17 +18,21 @@
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.h"
 #include "model/schedule.h"
+#include "support/contracts.h"
 #include "support/rng.h"
 
 namespace mg::dist {
 
 /// One message on the (in-process) wire.  Data envelopes carry a gossip
 /// message; digest/grant envelopes are the decentralized recovery
-/// protocol's control plane (see actor.h).
+/// protocol's control plane (see actor.h).  Trivially copyable: a digest
+/// is a view, not a copy.
 struct Envelope {
   enum class Kind : std::uint8_t {
     kData = 0,    ///< a gossip message (the only kind the timeline sees)
@@ -47,8 +52,14 @@ struct Envelope {
   /// delivery order — ids are themselves deterministic under a fixed seed,
   /// but actors must not decide from them.
   std::uint64_t trace = 0;
-  std::vector<std::uint64_t> digest;  ///< hold bitmap words for kDigest
+  /// kDigest: the sender's hold bitmap words.  A view of a snapshot the
+  /// sending actor owns and rewrites only at its next digest step; digests
+  /// are posted with delay 0 (`MailboxBus::post` asserts it), so every
+  /// reader consumes the snapshot at the very next flip, before it changes.
+  std::span<const std::uint64_t> digest;
 };
+
+static_assert(std::is_trivially_copyable_v<Envelope>);
 
 /// Canonical order erasing the posting interleaving.
 inline bool envelope_less(const Envelope& a, const Envelope& b) {
@@ -65,7 +76,9 @@ class MailboxBus {
   MailboxBus(graph::Vertex n, std::uint64_t seed, std::size_t max_delay = 0)
       : n_(n),
         seed_(seed),
-        slots_(static_cast<std::size_t>(max_delay) + 2),
+        // Delays 0..max_delay land in distinct slots of the ring, each
+        // flipped exactly `delay` barriers after the next one.
+        slots_(static_cast<std::size_t>(max_delay) + 1),
         boxes_(static_cast<std::size_t>(n) * slots_),
         inboxes_(n),
         stripes_((static_cast<std::size_t>(n) + kStripeSize - 1) /
@@ -75,12 +88,16 @@ class MailboxBus {
   MailboxBus& operator=(const MailboxBus&) = delete;
 
   /// Posts `e` to `to`, arriving `delay` rounds after the next barrier
-  /// (0 = the normal send-at-t, receive-at-t+1 latency).  Thread-safe;
+  /// (0 = the normal send-at-t, receive-at-t+1 latency).  Control
+  /// envelopes always travel with delay 0, so a digest is read at the next
+  /// flip, before its owner rewrites the snapshot it views.  Thread-safe;
   /// concurrent posters to mailboxes in different stripes never contend.
-  void post(graph::Vertex to, std::size_t delay, Envelope e) {
+  void post(graph::Vertex to, std::size_t delay, const Envelope& e) {
+    MG_ASSERT_MSG(delay == 0 || e.kind == Envelope::Kind::kData,
+                  "control envelopes must arrive at the next flip");
     std::lock_guard<std::mutex> lock(
         stripes_[static_cast<std::size_t>(to) / kStripeSize].mutex);
-    box(to, (cursor_ + delay) % slots_).push_back(std::move(e));
+    box(to, (cursor_ + delay) % slots_).push_back(e);
   }
 
   /// Round barrier: makes every envelope due now readable via `inbox()`,
@@ -94,7 +111,9 @@ class MailboxBus {
                 (0xd1b54a32d192ed03ULL * (static_cast<std::uint64_t>(v) + 1)));
         rng.shuffle(due);
       }
-      inboxes_[v] = std::move(due);
+      // Swap, not move: the old inbox becomes the (cleared) box, so both
+      // buffers keep their capacity across rounds.
+      inboxes_[v].swap(due);
       due.clear();
     }
     cursor_ = (cursor_ + 1) % slots_;

@@ -103,11 +103,20 @@ void ActorRuntime::use_timetable(const model::Schedule& schedule) {
   Impl& im = *impl_;
   MG_EXPECTS(im.actors.empty());
   const Vertex n = im.n();
+  // One pass buckets the rows by sender; rounds are visited in order, so
+  // every bucket is already sorted by send time.
+  std::vector<std::vector<TimetableRule::Row>> rows(n);
+  for (std::size_t t = 0; t < schedule.round_count(); ++t) {
+    for (const model::Transmission& tx : schedule.round(t)) {
+      MG_EXPECTS(tx.sender < n);
+      rows[tx.sender].emplace_back(t, tx);
+    }
+  }
   im.actors.reserve(n);
   for (Vertex v = 0; v < n; ++v) {
     im.actors.emplace_back(v, n, im.instance->labels().label(v),
                            network_neighbors(*im.network, v),
-                           std::make_unique<TimetableRule>(schedule, v));
+                           std::make_unique<TimetableRule>(std::move(rows[v])));
   }
 }
 
@@ -143,16 +152,17 @@ RunReport ActorRuntime::run(std::size_t horizon) {
 
   auto route_wire = [&] {
     im.for_each_actor([&](std::size_t v) {
-      for (auto& [to, delay, envelope] : wire[v]) {
-        bus.post(to, delay, std::move(envelope));
+      for (const auto& [to, delay, envelope] : wire[v]) {
+        bus.post(to, delay, envelope);
       }
       wire[v].clear();
     });
   };
 
   // Applies the fabric's verdict to actor v's data transmission at absolute
-  // round `abs_t` and, when it survives, captures events/schedule rows and
-  // stages the envelopes.  Serial (called in actor-id order).
+  // round `abs_t` and, when it survives, captures events, stages the
+  // envelopes, then moves the transmission into `into`.  Serial (called in
+  // actor-id order).
   auto capture_data = [&](Vertex v, std::size_t abs_t, model::Schedule& into,
                           std::size_t local_t, bool main_phase) {
     if (!out[v].data.has_value()) return;
@@ -186,7 +196,6 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     mirror_causal(report.causal.back());
     im.emit({"send", abs_t, v, tx.message, first_receiver,
              tx.receivers.size(), id, out[v].data_cause});
-    into.add(local_t, tx);
     for (const Vertex r : tx.receivers) {
       const std::size_t extra =
           plan != nullptr ? plan->extra_delay(v, r) : 0;
@@ -206,8 +215,9 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       // The one bit of link context the §4 online rule distinguishes:
       // whether this delivery rides the o-stream from the tree parent.
       e.from_parent = !tree.is_root(r) && tree.parent(r) == v && main_phase;
-      wire[v].emplace_back(r, extra, std::move(e));
+      wire[v].emplace_back(r, extra, e);
     }
+    into.add(local_t, std::move(*out[v].data));
   };
 
   // ---- main phase: rounds 0 .. horizon-1 ---------------------------------
@@ -220,12 +230,10 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       // transmission is captured as a "crash" loss (mirroring the
       // simulator), but they observe nothing — deliveries to them were
       // already voided at routing time.
-      out[v] = im.actors[v].step_main(
-          t, bus.inbox(static_cast<Vertex>(v)));
+      out[v] = im.actors[v].step_main(t, bus.inbox(static_cast<Vertex>(v)));
     });
     for (Vertex v = 0; v < n; ++v) {
       capture_data(v, t, report.emergent, t, /*main_phase=*/true);
-      out[v] = Outbox{};
     }
     route_wire();
     MG_OBS_HIST("dist.round_ns", static_cast<std::uint64_t>(round_watch.seconds() * 1e9));
@@ -247,6 +255,30 @@ RunReport ActorRuntime::run(std::size_t horizon) {
   // ---- decentralized recovery -------------------------------------------
   const auto live_at = [&](Vertex v, std::size_t abs_t) {
     return plan == nullptr || !plan->crashed(v, abs_t);
+  };
+  // Stamps actor v's digest or grant with one trace id (a multicast is one
+  // logical message), records its causal link, and stages one envelope per
+  // live receiver — control envelopes to dead receivers just evaporate.
+  // Delay 0: a digest's snapshot lives only until its sender's next digest.
+  // Returns whether anything was staged.
+  auto capture_control = [&](Vertex v, std::size_t abs_t,
+                             CausalLink::Kind kind) {
+    Outbox& o = out[v];
+    if (!o.control.has_value() || o.control_to.empty()) return false;
+    report.control_messages += o.control_to.size();
+    const std::uint64_t id = ++next_trace;
+    report.causal.push_back({id, o.control_cause, kind, abs_t, v,
+                             o.control->message, o.control_to.size()});
+    mirror_causal(report.causal.back());
+    o.control->trace = id;
+    bool staged = false;
+    for (const Vertex to : o.control_to) {
+      if (live_at(to, abs_t)) {
+        wire[v].emplace_back(to, 0, *o.control);
+        staged = true;
+      }
+    }
+    return staged;
   };
   auto all_live_complete = [&](std::size_t abs_t) {
     for (Vertex v = 0; v < n; ++v) {
@@ -275,25 +307,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       });
       if (all_live_complete(abs_t)) break;
       for (Vertex v = 0; v < n; ++v) {
-        report.control_messages += out[v].control.size();
-        if (!out[v].control.empty()) {
-          // One id per digest fan-out: a multicast is one logical message.
-          const std::uint64_t id = ++next_trace;
-          report.causal.push_back({id, out[v].control_cause,
-                                   CausalLink::Kind::kDigest, abs_t,
-                                   static_cast<Vertex>(v), 0,
-                                   out[v].control.size()});
-          mirror_causal(report.causal.back());
-          for (Envelope& e : out[v].control) e.trace = id;
-        }
-        for (std::size_t c = 0; c < out[v].control.size(); ++c) {
-          // Control envelopes to dead receivers just evaporate.
-          if (live_at(out[v].control_to[c], abs_t)) {
-            wire[v].emplace_back(out[v].control_to[c], 0,
-                                 std::move(out[v].control[c]));
-          }
-        }
-        out[v] = Outbox{};
+        (void)capture_control(v, abs_t, CausalLink::Kind::kDigest);
       }
       route_wire();
 
@@ -306,25 +320,8 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       });
       bool any_grant = false;
       for (Vertex v = 0; v < n; ++v) {
-        report.control_messages += out[v].control.size();
-        if (!out[v].control.empty()) {
-          const std::uint64_t id = ++next_trace;
-          report.causal.push_back({id, out[v].control_cause,
-                                   CausalLink::Kind::kGrant, abs_t,
-                                   static_cast<Vertex>(v),
-                                   out[v].control.front().message,
-                                   out[v].control.size()});
-          mirror_causal(report.causal.back());
-          for (Envelope& e : out[v].control) e.trace = id;
-        }
-        for (std::size_t c = 0; c < out[v].control.size(); ++c) {
-          if (live_at(out[v].control_to[c], abs_t)) {
-            any_grant = true;
-            wire[v].emplace_back(out[v].control_to[c], 0,
-                                 std::move(out[v].control[c]));
-          }
-        }
-        out[v] = Outbox{};
+        any_grant = capture_control(v, abs_t, CausalLink::Kind::kGrant) ||
+                    any_grant;
       }
       if (!any_grant) break;  // quiescence == component closure reached
       route_wire();
@@ -338,7 +335,6 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       });
       for (Vertex v = 0; v < n; ++v) {
         capture_data(v, abs_t, report.repair, q, /*main_phase=*/false);
-        out[v] = Outbox{};
       }
       ++report.recovery_rounds;
       route_wire();

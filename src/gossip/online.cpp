@@ -40,46 +40,60 @@ OnlineProcessor::OnlineProcessor(LocalInfo info) : info_(std::move(info)) {
   // intervals: plan them now.  (D2) is dynamic (driven by arrivals).
   if (info_.has_parent) {
     // (U3): the lip-message leaves at time 0.
-    if (w_ == 1) plan(0, i, /*to_parent=*/true, {});
+    if (w_ == 1) plan(0, i, /*to_parent=*/true, /*down=*/false);
     // (U4): rip-messages i+w..j leave at times i-k+w..j-k.
     for (Label m = i + w_; m <= j; ++m) {
-      plan(m - k, m, /*to_parent=*/true, {});
+      plan(m - k, m, /*to_parent=*/true, /*down=*/false);
     }
   }
   // (D3): b-messages go down at times i-k..j-k (message i to all children,
   // delayed to j-k+1 when i == k; others skip the owning child).
   if (!info_.children.empty()) {
     for (Label m = i; m <= j; ++m) {
-      std::vector<graph::Vertex> receivers;
-      if (m == i) {
-        receivers = info_.children;
-      } else {
+      std::uint32_t skip = kAllChildren;
+      if (m != i) {
+        // Child intervals partition i+1..j: exactly one child owns m.
         for (std::size_t c = 0; c < info_.children.size(); ++c) {
           const auto& [ci, cj] = info_.child_intervals[c];
-          if (m < ci || m > cj) receivers.push_back(info_.children[c]);
+          if (m >= ci && m <= cj) skip = static_cast<std::uint32_t>(c);
         }
-        if (receivers.empty()) continue;
+        if (info_.children.size() == 1 && skip != kAllChildren) continue;
       }
       const std::size_t t = (m == i && i == k)
                                 ? static_cast<std::size_t>(j - k + 1)
                                 : static_cast<std::size_t>(m - k);
-      plan(t, m, /*to_parent=*/false, std::move(receivers));
+      plan(t, m, /*to_parent=*/false, /*down=*/true, skip);
     }
   }
 }
 
 void OnlineProcessor::plan(std::size_t t, Message m, bool to_parent,
-                           std::vector<graph::Vertex> down_receivers) {
-  auto [it, inserted] = planned_.try_emplace(t);
-  Planned& p = it->second;
-  if (inserted) {
-    p.message = m;
+                           bool down, std::uint32_t skip_child) {
+  const auto pending = planned_.begin() + static_cast<std::ptrdiff_t>(head_);
+  auto it = std::lower_bound(
+      pending, planned_.end(), t,
+      [](const Planned& p, std::size_t time) { return p.t < time; });
+  if (it == planned_.end() || it->t != t) {
+    if (it == pending && head_ > 0) {
+      it = planned_.begin() + static_cast<std::ptrdiff_t>(--head_);
+      *it = Planned{};
+    } else {
+      it = planned_.insert(it, Planned{});
+    }
+    it->t = static_cast<std::uint32_t>(t);
+    it->message = m;
   } else {
-    MG_ASSERT_MSG(p.message == m,
+    MG_ASSERT_MSG(it->message == m,
                   "online protocol would send two messages at one time");
   }
+  Planned& p = *it;
   if (to_parent) p.to_parent = true;
-  for (graph::Vertex r : down_receivers) p.down_receivers.push_back(r);
+  if (down) {
+    // Union of down sets: two different skipped children cover them all.
+    p.skip_child = p.down && p.skip_child != skip_child ? kAllChildren
+                                                        : skip_child;
+    p.down = true;
+  }
 }
 
 void OnlineProcessor::deliver(std::size_t t, Message m, bool from_parent) {
@@ -93,22 +107,37 @@ void OnlineProcessor::deliver(std::size_t t, Message m, bool from_parent) {
   } else if (t == ik + 1) {
     t_send = static_cast<std::size_t>(info_.j - info_.k) + 2;
   }
-  plan(t_send, m, /*to_parent=*/false, info_.children);
+  plan(t_send, m, /*to_parent=*/false, /*down=*/true);
 }
 
 std::optional<Transmission> OnlineProcessor::send_at(std::size_t t) {
-  const auto it = planned_.find(t);
-  if (it == planned_.end()) return std::nullopt;
-  const Planned& p = it->second;
-  Transmission tx;
-  tx.message = p.message;
-  tx.sender = info_.self;
-  tx.receivers = p.down_receivers;
-  if (p.to_parent) tx.receivers.push_back(info_.parent);
-  std::sort(tx.receivers.begin(), tx.receivers.end());
-  tx.receivers.erase(std::unique(tx.receivers.begin(), tx.receivers.end()),
-                     tx.receivers.end());
-  planned_.erase(it);
+  // Sends planned before t were asked for by no one: drop them.
+  while (head_ < planned_.size() && planned_[head_].t < t) ++head_;
+  std::optional<Transmission> tx;
+  if (head_ < planned_.size() && planned_[head_].t == t) {
+    const Planned& p = planned_[head_++];
+    tx.emplace();
+    tx->message = p.message;
+    tx->sender = info_.self;
+    tx->receivers.reserve(info_.children.size() + 1);
+    if (p.down) {
+      for (std::size_t c = 0; c < info_.children.size(); ++c) {
+        if (c != p.skip_child) tx->receivers.push_back(info_.children[c]);
+      }
+    }
+    if (p.to_parent) tx->receivers.push_back(info_.parent);
+    std::sort(tx->receivers.begin(), tx->receivers.end());
+  }
+  if (head_ == planned_.size()) {
+    // Nothing pending.  Once the static plans are spent, a processor only
+    // ever holds the one relay of the current round: free their storage.
+    if (planned_.capacity() > 1) {
+      planned_ = {};
+    } else {
+      planned_.clear();
+    }
+    head_ = 0;
+  }
   return tx;
 }
 

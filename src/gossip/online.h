@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -55,24 +54,41 @@ class OnlineProcessor {
 
   /// The transmission this processor performs at time `t`, if any.  Must be
   /// called after all `deliver(t, ...)` calls for the same `t` (receive
-  /// happens before send within a round).
+  /// happens before send within a round), with `t` never decreasing from
+  /// call to call; sends planned before `t` that were never asked for are
+  /// dropped.
   [[nodiscard]] std::optional<model::Transmission> send_at(std::size_t t);
 
   [[nodiscard]] const LocalInfo& info() const { return info_; }
 
  private:
-  void plan(std::size_t t, model::Message m, bool to_parent,
-            std::vector<graph::Vertex> down_receivers);
+  /// No child index: the down set is every child.
+  static constexpr std::uint32_t kAllChildren = UINT32_MAX;
+
+  /// Every down set the rules plan is all children, or all children but
+  /// the one whose subtree owns the message (D3).  The union of such sets
+  /// is again one of them, so a planned send stores no receiver list.
+  void plan(std::size_t t, model::Message m, bool to_parent, bool down,
+            std::uint32_t skip_child = kAllChildren);
 
   struct Planned {
+    std::uint32_t t = 0;  ///< send time (label arithmetic, like Message)
     model::Message message = 0;
+    std::uint32_t skip_child = kAllChildren;  ///< child left out of D
     bool to_parent = false;
-    std::vector<graph::Vertex> down_receivers;
+    bool down = false;
   };
 
   LocalInfo info_;
   std::uint32_t w_ = 0;
-  std::map<std::size_t, Planned> planned_;
+  /// Pending sends in increasing time order; slots before head_ are spent.
+  /// A relay for the current round reuses the spent slot just before head_
+  /// and a deferred relay lands near the back, so insertions seldom shift
+  /// entries, and storage tracks the sends still pending (a time-indexed
+  /// window would also hold an empty slot for every round before a
+  /// processor's first send).
+  std::vector<Planned> planned_;
+  std::size_t head_ = 0;
 };
 
 /// Runs all processors round by round and returns the emergent global
