@@ -6,19 +6,18 @@
 //   central  — `sim::simulate` replaying the centrally computed schedule
 //              (one loop, no actors, no mailboxes), and
 //   dist     — the `mg::dist` actor runtime: n processor actors deciding
-//              from local state behind a round-synchronized mailbox bus,
-//              serially and on a worker pool.
-// Each row records the wall time of all three executions, the emergent
-// round count, and the per-round latency quantiles of the actor runtime
-// from the `dist.round_ns` observability histogram — the honest price of
+//              from local state behind a round-synchronized mailbox bus.
+// Each row records the wall time of both executions, the emergent round
+// count, and the per-round latency quantiles of the actor runtime from the
+// `dist.round_ns` observability histogram — the honest price of
 // decentralization relative to the flat replay loop.
 //
 // A second table, `faulty`, runs the request-path shape at scale: seeded
-// random cubic graphs, 1% link drops, recovery on.  Each row reports serial
-// and threaded ns per delivery and `replay_over_dist`, the same-run ratio
-// of the flat replay of exactly the delivered traffic (emergent main phase
-// plus emergent repair, via `sim::simulate` / `simulate_from_holds`) to the
-// serial actor run — a host-independent price of decentralization.  The
+// random cubic graphs, 1% link drops, recovery on.  Each row reports ns per
+// delivery and `replay_over_dist`, the same-run ratio of the flat replay of
+// exactly the delivered traffic (emergent main phase plus emergent repair,
+// via `sim::simulate` / `simulate_from_holds`) to the actor run — a
+// host-independent price of decentralization.  The
 // recovery round and control-message counts are deterministic under the
 // fixed seeds; the sentinel gates them exactly.
 //
@@ -28,10 +27,9 @@
 // span exactly n + r rounds (Theorem 1), or a faulty row's replay does not
 // end in the actors' final hold sets.
 //
-//   dist_bench [--out FILE] [--threads N] [--quick]
+//   dist_bench [--out FILE] [--quick]
 //
 // --out      output path (default BENCH_dist.json)
-// --threads  worker count for the threaded rows (default 4)
 // --quick    cycle + Petersen, and faulty n = 256 only (CI-friendly)
 #include <algorithm>
 #include <cstdio>
@@ -69,8 +67,7 @@ double per(std::uint64_t ns, std::size_t units) {
 /// One `faulty` row: ConcurrentUpDown on a seeded random cubic graph with
 /// 1% drops and recovery, timed as the median of `trials` runs per
 /// executor.  Returns false when the row's gate fails.
-bool faulty_row(obs::JsonWriter& w, graph::Vertex n, std::size_t threads,
-                std::size_t trials) {
+bool faulty_row(obs::JsonWriter& w, graph::Vertex n, std::size_t trials) {
   Rng rng(0xd15700 + n);
   const graph::Graph g = graph::random_regular_configuration(n, 3, rng);
   fault::FaultPlan plan;
@@ -79,10 +76,9 @@ bool faulty_row(obs::JsonWriter& w, graph::Vertex n, std::size_t threads,
       gossip::solve_gossip(g, gossip::Algorithm::kConcurrentUpDown);
   const std::size_t horizon = central.schedule.round_count();
 
-  const auto run_dist = [&](std::size_t workers, dist::RunReport& report) {
+  const auto run_dist = [&](dist::RunReport& report) {
     dist::RuntimeOptions options;
     options.faults = &plan;
-    options.threads = workers;
     dist::ActorRuntime runtime(central.instance, g, options);
     runtime.use_online_rule();
     Stopwatch watch;
@@ -90,37 +86,28 @@ bool faulty_row(obs::JsonWriter& w, graph::Vertex n, std::size_t threads,
     return static_cast<std::uint64_t>(watch.seconds() * 1e9);
   };
 
-  dist::RunReport serial_run;
-  dist::RunReport threaded_run;
-  std::vector<std::uint64_t> serial_ns;
-  std::vector<std::uint64_t> threaded_ns;
+  dist::RunReport run;
+  std::vector<std::uint64_t> dist_ns;
   std::vector<std::uint64_t> replay_ns;
   bool replay_ok = true;
   for (std::size_t trial = 0; trial < trials; ++trial) {
-    serial_ns.push_back(run_dist(0, serial_run));
-    threaded_ns.push_back(run_dist(threads, threaded_run));
+    dist_ns.push_back(run_dist(run));
     // The flat loop replays exactly the traffic the actors delivered.
     Stopwatch watch;
     const sim::SimResult main_replay =
-        sim::simulate(g, serial_run.emergent, central.instance.initial());
+        sim::simulate(g, run.emergent, central.instance.initial());
     const sim::SimResult repair_replay =
-        sim::simulate_from_holds(g, serial_run.repair, main_replay.final_holds);
+        sim::simulate_from_holds(g, run.repair, main_replay.final_holds);
     replay_ns.push_back(static_cast<std::uint64_t>(watch.seconds() * 1e9));
-    replay_ok = replay_ok && main_replay.final_holds == serial_run.main_holds &&
-                repair_replay.final_holds == serial_run.final_holds;
+    replay_ok = replay_ok && main_replay.final_holds == run.main_holds &&
+                repair_replay.final_holds == run.final_holds;
   }
-  const std::uint64_t serial = median(serial_ns);
-  const std::uint64_t threaded = median(threaded_ns);
+  const std::uint64_t run_ns = median(dist_ns);
   const std::uint64_t replay = median(replay_ns);
   const double replay_over_dist =
-      serial == 0 ? 0.0
-                  : static_cast<double>(replay) / static_cast<double>(serial);
-  const bool same = serial_run.deliveries == threaded_run.deliveries &&
-                    serial_run.control_messages ==
-                        threaded_run.control_messages &&
-                    serial_run.recovery_rounds == threaded_run.recovery_rounds;
-  const bool ok = serial_run.complete && threaded_run.complete && same &&
-                  replay_ok;
+      run_ns == 0 ? 0.0
+                  : static_cast<double>(replay) / static_cast<double>(run_ns);
+  const bool ok = run.complete && replay_ok;
 
   const std::string name = "cubic/n=" + std::to_string(n) + "/drop=0.01";
   w.begin_object();
@@ -129,38 +116,28 @@ bool faulty_row(obs::JsonWriter& w, graph::Vertex n, std::size_t threads,
   w.field("r", static_cast<std::uint64_t>(central.instance.radius()));
   w.field("rounds", static_cast<std::uint64_t>(horizon));
   w.field("trials", static_cast<std::uint64_t>(trials));
-  w.field("recovery_rounds",
-          static_cast<std::uint64_t>(serial_run.recovery_rounds));
+  w.field("recovery_rounds", static_cast<std::uint64_t>(run.recovery_rounds));
   w.field("control_messages",
-          static_cast<std::uint64_t>(serial_run.control_messages));
-  w.field("injected_drops",
-          static_cast<std::uint64_t>(serial_run.injected_drops));
-  w.field("deliveries", static_cast<std::uint64_t>(serial_run.deliveries));
+          static_cast<std::uint64_t>(run.control_messages));
+  w.field("injected_drops", static_cast<std::uint64_t>(run.injected_drops));
+  w.field("deliveries", static_cast<std::uint64_t>(run.deliveries));
   w.field("central_ns", replay);
-  w.field("dist_serial_ns", serial);
-  w.field("dist_threaded_ns", threaded);
-  w.field("serial_ns_per_delivery", per(serial, serial_run.deliveries));
-  w.field("threaded_ns_per_delivery", per(threaded, serial_run.deliveries));
+  w.field("dist_serial_ns", run_ns);
+  w.field("serial_ns_per_delivery", per(run_ns, run.deliveries));
   w.field("replay_over_dist", replay_over_dist);
-  w.field("threaded_over_serial",
-          serial == 0 ? 0.0
-                      : static_cast<double>(threaded) /
-                            static_cast<double>(serial));
-  w.field("complete", serial_run.complete && threaded_run.complete);
+  w.field("complete", run.complete);
   w.field("replay_match", replay_ok);
   w.end_object();
 
-  std::printf("%-26s recovery=%3zu control=%7zu serial=%7.1f ns/delivery "
-              "threaded=%7.1f ns/delivery replay/dist=%.3f %s\n",
-              name.c_str(), serial_run.recovery_rounds,
-              serial_run.control_messages,
-              per(serial, serial_run.deliveries),
-              per(threaded, serial_run.deliveries), replay_over_dist,
+  std::printf("%-26s recovery=%3zu control=%7zu dist=%7.1f ns/delivery "
+              "replay/dist=%.3f %s\n",
+              name.c_str(), run.recovery_rounds, run.control_messages,
+              per(run_ns, run.deliveries), replay_over_dist,
               ok ? "ok" : "VIOLATION");
   return ok;
 }
 
-int run(const std::string& out_path, std::size_t threads, bool quick) {
+int run(const std::string& out_path, bool quick) {
   std::vector<std::pair<std::string, graph::Graph>> graphs = {
       {"cycle/n=16", graph::cycle(16)},
       {"petersen", graph::petersen()},
@@ -189,7 +166,6 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
   w.field("schema_version", 1);
   w.field("suite", "dist");
   w.field("quick", quick);
-  w.field("threads", static_cast<std::uint64_t>(threads));
   w.key("rows").begin_array();
 
   bool all_ok = true;
@@ -210,32 +186,24 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
       const auto central_ns =
           static_cast<std::uint64_t>(central_watch.seconds() * 1e9);
 
-      const auto run_dist = [&](std::size_t workers) {
-        dist::RuntimeOptions options;
-        options.threads = workers;
-        dist::ActorRuntime runtime(central.instance, g, options);
-        if (algorithm == gossip::Algorithm::kConcurrentUpDown) {
-          runtime.use_online_rule();
-        } else {
-          runtime.use_timetable(central.schedule);
-        }
-        Stopwatch watch;
-        dist::RunReport run = runtime.run(horizon);
-        return std::make_pair(
-            static_cast<std::uint64_t>(watch.seconds() * 1e9),
-            std::move(run));
-      };
-      const auto [serial_ns, serial_run] = run_dist(0);
-      const auto [threaded_ns, threaded_run] = run_dist(threads);
+      dist::ActorRuntime runtime(central.instance, g, {});
+      if (algorithm == gossip::Algorithm::kConcurrentUpDown) {
+        runtime.use_online_rule();
+      } else {
+        runtime.use_timetable(central.schedule);
+      }
+      Stopwatch dist_watch;
+      const dist::RunReport run = runtime.run(horizon);
+      const auto dist_ns =
+          static_cast<std::uint64_t>(dist_watch.seconds() * 1e9);
 
-      const dist::VerifyReport verify = dist::verify_against_schedule(
-          central.schedule, serial_run.emergent, n, r);
+      const dist::VerifyReport verify =
+          dist::verify_against_schedule(central.schedule, run.emergent, n, r);
       const bool n_plus_r_ok =
           algorithm != gossip::Algorithm::kConcurrentUpDown ||
           verify.n_plus_r_ok;
       const bool row_ok = central.report.ok && replay.completed &&
-                          verify.match && serial_run.complete &&
-                          threaded_run.complete && n_plus_r_ok;
+                          verify.match && run.complete && n_plus_r_ok;
       all_ok = all_ok && row_ok;
       ++row_count;
 
@@ -248,32 +216,29 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
       w.field("n", static_cast<std::uint64_t>(n));
       w.field("r", static_cast<std::uint64_t>(r));
       w.field("rounds", static_cast<std::uint64_t>(horizon));
-      w.field("messages", static_cast<std::uint64_t>(serial_run.messages));
-      w.field("deliveries",
-              static_cast<std::uint64_t>(serial_run.deliveries));
+      w.field("messages", static_cast<std::uint64_t>(run.messages));
+      w.field("deliveries", static_cast<std::uint64_t>(run.deliveries));
       w.field("central_ns", central_ns);
-      w.field("dist_serial_ns", serial_ns);
-      w.field("dist_threaded_ns", threaded_ns);
+      w.field("dist_serial_ns", dist_ns);
       w.field("actor_overhead",
               central_ns == 0
                   ? 0.0
-                  : static_cast<double>(serial_ns) /
+                  : static_cast<double>(dist_ns) /
                         static_cast<double>(central_ns));
-      // Both dist executions feed the per-round histogram.
+      // One run per row feeds the per-round histogram.
       w.field("round_samples", round_hist.count);
       w.field("round_ns_p50", round_hist.p50);
       w.field("round_ns_p99", round_hist.p99);
       w.field("match", verify.match);
       w.field("n_plus_r_ok", n_plus_r_ok);
-      w.field("complete", serial_run.complete);
+      w.field("complete", run.complete);
       w.end_object();
 
-      std::printf("%-14s %-18s rounds=%3zu central=%8llu ns serial=%8llu ns "
-                  "threaded=%8llu ns %s\n",
+      std::printf("%-14s %-18s rounds=%3zu central=%8llu ns dist=%8llu ns "
+                  "%s\n",
                   name.c_str(), gossip::algorithm_name(algorithm).c_str(),
                   horizon, static_cast<unsigned long long>(central_ns),
-                  static_cast<unsigned long long>(serial_ns),
-                  static_cast<unsigned long long>(threaded_ns),
+                  static_cast<unsigned long long>(dist_ns),
                   row_ok ? "ok" : "VIOLATION");
     }
   }
@@ -285,7 +250,7 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
       quick ? std::vector<graph::Vertex>{256}
             : std::vector<graph::Vertex>{256, 1024};
   for (const graph::Vertex n : faulty_sizes) {
-    all_ok = faulty_row(w, n, threads, quick ? 5 : 3) && all_ok;
+    all_ok = faulty_row(w, n, quick ? 5 : 3) && all_ok;
     ++row_count;
   }
   w.end_array();
@@ -306,20 +271,17 @@ int run(const std::string& out_path, std::size_t threads, bool quick) {
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_dist.json";
-  std::size_t threads = 4;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::stoul(argv[++i]);
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else {
       std::fprintf(stderr,
-                   "usage: dist_bench [--out FILE] [--threads N] [--quick]\n");
+                   "usage: dist_bench [--out FILE] [--quick]\n");
       return 2;
     }
   }
-  return run(out_path, threads, quick);
+  return run(out_path, quick);
 }

@@ -41,8 +41,10 @@ int main() {
     const auto root = sol.instance.tree().root();
     const std::size_t drop_round = sol.schedule.total_time() / 3;
 
+    fault::FaultPlan plan;
+    plan.drop(drop_round, root);
     sim::SimOptions faults;
-    faults.drop.emplace_back(drop_round, root);
+    faults.faults = &plan;
     const auto run = sim::simulate(sol.instance.tree().as_graph(),
                                    sol.schedule, sol.instance.initial(),
                                    faults);

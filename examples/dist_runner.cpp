@@ -5,7 +5,7 @@
 // n + r round count.
 //
 //   $ ./dist_runner                                    # Petersen, ConcurrentUpDown
-//   $ ./dist_runner --graph grid:5x5 --algorithm updown --threads 8
+//   $ ./dist_runner --graph grid:5x5 --algorithm updown
 //   $ ./dist_runner --drop-rate 0.15 --crash 3:6 --seed 9
 //   $ ./dist_runner --timeline-out timeline.json
 //   $ ./dist_runner --flow-trace flow.json        # Perfetto causal flows
@@ -39,7 +39,6 @@ using namespace mg;
 struct Options {
   std::string graph = "petersen";
   gossip::Algorithm algorithm = gossip::Algorithm::kConcurrentUpDown;
-  std::size_t threads = 0;
   std::uint64_t seed = 0x5eed;
   double drop_rate = 0.0;
   bool have_crash = false;
@@ -55,7 +54,7 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s [--graph petersen|cycle:N|grid:RxC|hypercube:D]\n"
       "          [--algorithm simple|updown|concurrent-updown|telephone]\n"
-      "          [--threads N] [--seed N] [--drop-rate P] [--crash V:ROUND]\n"
+      "          [--seed N] [--drop-rate P] [--crash V:ROUND]\n"
       "          [--budget ROUNDS] [--timeline-out FILE]\n"
       "          [--flow-trace FILE]\n",
       argv0);
@@ -110,8 +109,6 @@ int main(int argc, char** argv) {
         opt.graph = next();
       } else if (flag == "--algorithm") {
         opt.algorithm = parse_algorithm(next());
-      } else if (flag == "--threads") {
-        opt.threads = std::stoul(next());
       } else if (flag == "--seed") {
         opt.seed = std::stoull(next());
       } else if (flag == "--drop-rate") {
@@ -169,7 +166,6 @@ int main(int argc, char** argv) {
   gossip::RoundTimeline timeline(central.instance);
 
   dist::RuntimeOptions options;
-  options.threads = opt.threads;
   options.seed = opt.seed;
   options.extra_round_budget = opt.budget;
   options.sink = &timeline;
@@ -196,8 +192,8 @@ int main(int argc, char** argv) {
   std::printf("algorithm: %s on %s (n = %u, radius r = %u)\n",
               gossip::algorithm_name(opt.algorithm).c_str(),
               opt.graph.c_str(), n, r);
-  std::printf("actors: %u, worker threads: %zu, bus seed: %llu\n", n,
-              opt.threads, static_cast<unsigned long long>(opt.seed));
+  std::printf("actors: %u, bus seed: %llu\n", n,
+              static_cast<unsigned long long>(opt.seed));
   std::printf("main phase: %zu rounds, %zu messages, %zu deliveries\n",
               run.horizon, run.messages, run.deliveries);
   if (faulty) {

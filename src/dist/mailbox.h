@@ -1,23 +1,21 @@
 // Round-synchronized message bus for the `mg::dist` actor runtime.
 //
-// Every processor actor owns one mailbox.  During a round, actors (running
-// on several worker threads) post envelopes addressed to other actors; the
-// bus buffers them by arrival time — a message posted at round t arrives at
-// t + 1 (+ any per-edge fault delay) — behind mutex-striped locks so
-// concurrent senders never contend on one global lock.  At the round
-// barrier `flip()` swaps every due box with its receiver's read-only inbox
-// (both keep their capacity, so a warm bus allocates nothing) and orders
-// the inbox *deterministically*: envelopes are first sorted by a
-// canonical key (kind, sender, message) to erase the thread-interleaving
-// order they were posted in, then shuffled with an Rng seeded from
-// (seed, round, receiver).  The shuffle makes delivery order adversarial —
-// actors must not depend on it — while keeping every run bit-identical for
-// a fixed seed (the dist stress battery asserts exactly that).
+// Every processor actor owns one mailbox.  During a round, the runtime posts
+// each actor's envelopes to the other actors' boxes; the bus buffers them by
+// arrival time — a message posted at round t arrives at t + 1 (+ any
+// per-edge fault delay).  At the round barrier `flip()` swaps every due box
+// with its receiver's read-only inbox (both keep their capacity, so a warm
+// bus allocates nothing) and orders the inbox *deterministically*:
+// envelopes are first sorted by a canonical key (kind, sender, message),
+// then shuffled with an Rng seeded from (seed, round, receiver).  The
+// shuffle makes delivery order adversarial — actors must not depend on it —
+// while keeping every run bit-identical for a fixed seed (the dist stress
+// battery and its golden digests assert exactly that).  The bus is
+// single-threaded, like the runtime that drives it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -61,7 +59,11 @@ struct Envelope {
 
 static_assert(std::is_trivially_copyable_v<Envelope>);
 
-/// Canonical order erasing the posting interleaving.
+/// Canonical pre-shuffle order.  Posting order is already deterministic,
+/// but the shuffle permutes whatever it is given, so the sort stays: it
+/// fixes the shuffle's input, and with it every delivery order and every
+/// output the golden digests pin.  It also keeps delivery order independent
+/// of how the runtime happens to sequence its posts.
 inline bool envelope_less(const Envelope& a, const Envelope& b) {
   if (a.kind != b.kind) return a.kind < b.kind;
   if (a.sender != b.sender) return a.sender < b.sender;
@@ -80,9 +82,7 @@ class MailboxBus {
         // flipped exactly `delay` barriers after the next one.
         slots_(static_cast<std::size_t>(max_delay) + 1),
         boxes_(static_cast<std::size_t>(n) * slots_),
-        inboxes_(n),
-        stripes_((static_cast<std::size_t>(n) + kStripeSize - 1) /
-                 kStripeSize) {}
+        inboxes_(n) {}
 
   MailboxBus(const MailboxBus&) = delete;
   MailboxBus& operator=(const MailboxBus&) = delete;
@@ -90,18 +90,16 @@ class MailboxBus {
   /// Posts `e` to `to`, arriving `delay` rounds after the next barrier
   /// (0 = the normal send-at-t, receive-at-t+1 latency).  Control
   /// envelopes always travel with delay 0, so a digest is read at the next
-  /// flip, before its owner rewrites the snapshot it views.  Thread-safe;
-  /// concurrent posters to mailboxes in different stripes never contend.
+  /// flip, before its owner rewrites the snapshot it views.  Writes a box,
+  /// never an inbox: what `inbox()` returns is stable until the next flip.
   void post(graph::Vertex to, std::size_t delay, const Envelope& e) {
     MG_ASSERT_MSG(delay == 0 || e.kind == Envelope::Kind::kData,
                   "control envelopes must arrive at the next flip");
-    std::lock_guard<std::mutex> lock(
-        stripes_[static_cast<std::size_t>(to) / kStripeSize].mutex);
     box(to, (cursor_ + delay) % slots_).push_back(e);
   }
 
   /// Round barrier: makes every envelope due now readable via `inbox()`,
-  /// in the canonical-sorted-then-seed-shuffled order.  Single-threaded.
+  /// in the canonical-sorted-then-seed-shuffled order.
   void flip(std::size_t round) {
     for (graph::Vertex v = 0; v < n_; ++v) {
       auto& due = box(v, cursor_);
@@ -132,12 +130,6 @@ class MailboxBus {
   }
 
  private:
-  static constexpr std::size_t kStripeSize = 16;
-
-  struct alignas(64) Stripe {
-    std::mutex mutex;
-  };
-
   std::vector<Envelope>& box(graph::Vertex v, std::size_t slot) {
     return boxes_[static_cast<std::size_t>(v) * slots_ + slot];
   }
@@ -149,7 +141,6 @@ class MailboxBus {
   /// boxes_[v * slots_ + s]: envelopes for v arriving at barrier slot s.
   std::vector<std::vector<Envelope>> boxes_;
   std::vector<std::vector<Envelope>> inboxes_;
-  std::vector<Stripe> stripes_;
 };
 
 }  // namespace mg::dist

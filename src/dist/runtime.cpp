@@ -1,7 +1,6 @@
 #include "dist/runtime.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 #include <unordered_map>
 
@@ -11,7 +10,6 @@
 #include "obs/span.h"
 #include "support/contracts.h"
 #include "support/stopwatch.h"
-#include "support/thread_pool.h"
 
 namespace mg::dist {
 
@@ -40,28 +38,15 @@ struct ActorRuntime::Impl {
   const graph::Graph* network;
   RuntimeOptions options;
   std::vector<ProcessorActor> actors;
-  std::unique_ptr<ThreadPool> pool;
   bool ran = false;
 
   Impl(const gossip::Instance& inst, const graph::Graph& net,
        const RuntimeOptions& opts)
       : instance(&inst), network(&net), options(opts) {
     MG_EXPECTS(net.vertex_count() == inst.vertex_count());
-    if (options.threads > 0) {
-      pool = std::make_unique<ThreadPool>(options.threads);
-    }
   }
 
   [[nodiscard]] Vertex n() const { return instance->vertex_count(); }
-
-  /// Runs `body(v)` for every actor, over the pool when one exists.
-  void for_each_actor(const std::function<void(std::size_t)>& body) {
-    if (pool != nullptr) {
-      pool->parallel_for(actors.size(), body);
-    } else {
-      for (std::size_t v = 0; v < actors.size(); ++v) body(v);
-    }
-  }
 
   void emit(const obs::TraceEvent& event) {
     if (options.sink != nullptr) options.sink->on_event(event);
@@ -142,27 +127,16 @@ RunReport ActorRuntime::run(std::size_t horizon) {
   report.horizon = horizon;
 
   std::vector<Outbox> out(n);
-  // (receiver, delay, envelope) triples the route phase posts concurrently,
-  // pre-partitioned by sender so workers never share a slot.
-  std::vector<std::vector<std::tuple<Vertex, std::size_t, Envelope>>> wire(n);
   // Trace ids for the happens-before record: one per logical transmission
-  // (data multicast, digest fan-out, grant), assigned in the serial
-  // capture phases, so ids are deterministic under a fixed seed.
+  // (data multicast, digest fan-out, grant), assigned in actor-id order,
+  // so ids are deterministic under a fixed seed.
   std::uint64_t next_trace = 0;
 
-  auto route_wire = [&] {
-    im.for_each_actor([&](std::size_t v) {
-      for (const auto& [to, delay, envelope] : wire[v]) {
-        bus.post(to, delay, envelope);
-      }
-      wire[v].clear();
-    });
-  };
-
   // Applies the fabric's verdict to actor v's data transmission at absolute
-  // round `abs_t` and, when it survives, captures events, stages the
-  // envelopes, then moves the transmission into `into`.  Serial (called in
-  // actor-id order).
+  // round `abs_t` and, when it survives, captures events, posts the
+  // envelopes, then moves the transmission into `into`.  Posting writes
+  // only the bus's boxes, never an inbox, so actors later in the same pass
+  // still read exactly what the last flip delivered to them.
   auto capture_data = [&](Vertex v, std::size_t abs_t, model::Schedule& into,
                           std::size_t local_t, bool main_phase) {
     if (!out[v].data.has_value()) return;
@@ -215,7 +189,7 @@ RunReport ActorRuntime::run(std::size_t horizon) {
       // The one bit of link context the §4 online rule distinguishes:
       // whether this delivery rides the o-stream from the tree parent.
       e.from_parent = !tree.is_root(r) && tree.parent(r) == v && main_phase;
-      wire[v].emplace_back(r, extra, e);
+      bus.post(r, extra, e);
     }
     into.add(local_t, std::move(*out[v].data));
   };
@@ -225,25 +199,22 @@ RunReport ActorRuntime::run(std::size_t horizon) {
   for (std::size_t t = 0; t < horizon; ++t) {
     Stopwatch round_watch;
     bus.flip(barrier++);
-    im.for_each_actor([&](std::size_t v) {
+    for (Vertex v = 0; v < n; ++v) {
       // Crashed actors are stepped for accounting only: their planned
       // transmission is captured as a "crash" loss (mirroring the
       // simulator), but they observe nothing — deliveries to them were
-      // already voided at routing time.
-      out[v] = im.actors[v].step_main(t, bus.inbox(static_cast<Vertex>(v)));
-    });
-    for (Vertex v = 0; v < n; ++v) {
+      // already voided at capture time.
+      out[v] = im.actors[v].step_main(t, bus.inbox(v));
       capture_data(v, t, report.emergent, t, /*main_phase=*/true);
     }
-    route_wire();
     MG_OBS_HIST("dist.round_ns", static_cast<std::uint64_t>(round_watch.seconds() * 1e9));
   }
   // Drain: arrivals at times horizon .. horizon + max_delay.
   for (std::size_t a = 0; a <= max_delay; ++a) {
     bus.flip(barrier++);
-    im.for_each_actor([&](std::size_t v) {
-      im.actors[v].absorb(horizon + a, bus.inbox(static_cast<Vertex>(v)));
-    });
+    for (Vertex v = 0; v < n; ++v) {
+      im.actors[v].absorb(horizon + a, bus.inbox(v));
+    }
   }
   report.emergent.trim();
 
@@ -257,10 +228,10 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     return plan == nullptr || !plan->crashed(v, abs_t);
   };
   // Stamps actor v's digest or grant with one trace id (a multicast is one
-  // logical message), records its causal link, and stages one envelope per
+  // logical message), records its causal link, and posts one envelope per
   // live receiver — control envelopes to dead receivers just evaporate.
   // Delay 0: a digest's snapshot lives only until its sender's next digest.
-  // Returns whether anything was staged.
+  // Returns whether anything was posted.
   auto capture_control = [&](Vertex v, std::size_t abs_t,
                              CausalLink::Kind kind) {
     Outbox& o = out[v];
@@ -271,14 +242,14 @@ RunReport ActorRuntime::run(std::size_t horizon) {
                              o.control->message, o.control_to.size()});
     mirror_causal(report.causal.back());
     o.control->trace = id;
-    bool staged = false;
+    bool posted = false;
     for (const Vertex to : o.control_to) {
       if (live_at(to, abs_t)) {
-        wire[v].emplace_back(to, 0, *o.control);
-        staged = true;
+        bus.post(to, 0, *o.control);
+        posted = true;
       }
     }
-    return staged;
+    return posted;
   };
   auto all_live_complete = [&](std::size_t abs_t) {
     for (Vertex v = 0; v < n; ++v) {
@@ -297,54 +268,41 @@ RunReport ActorRuntime::run(std::size_t horizon) {
     for (std::size_t q = 0; q < budget; ++q) {
       const std::size_t abs_t = horizon + q;
       end_abs = abs_t;
-      // Fold the previous cycle's data arrivals in, then digest.
+      // Fold the previous cycle's data arrivals in, then digest.  Two
+      // passes: the run ends before any digest is posted once every live
+      // actor is complete.
       bus.flip(barrier++);
-      im.for_each_actor([&](std::size_t v) {
-        const auto vertex = static_cast<Vertex>(v);
-        im.actors[v].learn(bus.inbox(vertex));
-        out[v] = live_at(vertex, abs_t) ? im.actors[v].step_digest()
-                                        : Outbox{};
-      });
+      for (Vertex v = 0; v < n; ++v) {
+        im.actors[v].learn(bus.inbox(v));
+        out[v] = live_at(v, abs_t) ? im.actors[v].step_digest() : Outbox{};
+      }
       if (all_live_complete(abs_t)) break;
       for (Vertex v = 0; v < n; ++v) {
         (void)capture_control(v, abs_t, CausalLink::Kind::kDigest);
       }
-      route_wire();
 
       bus.flip(barrier++);
-      im.for_each_actor([&](std::size_t v) {
-        const auto vertex = static_cast<Vertex>(v);
-        out[v] = live_at(vertex, abs_t)
-                     ? im.actors[v].step_grant(bus.inbox(vertex))
-                     : Outbox{};
-      });
       bool any_grant = false;
       for (Vertex v = 0; v < n; ++v) {
+        out[v] = live_at(v, abs_t) ? im.actors[v].step_grant(bus.inbox(v))
+                                   : Outbox{};
         any_grant = capture_control(v, abs_t, CausalLink::Kind::kGrant) ||
                     any_grant;
       }
       if (!any_grant) break;  // quiescence == component closure reached
-      route_wire();
 
       bus.flip(barrier++);
-      im.for_each_actor([&](std::size_t v) {
-        const auto vertex = static_cast<Vertex>(v);
-        out[v] = live_at(vertex, abs_t)
-                     ? im.actors[v].step_data(bus.inbox(vertex))
-                     : Outbox{};
-      });
       for (Vertex v = 0; v < n; ++v) {
+        out[v] = live_at(v, abs_t) ? im.actors[v].step_data(bus.inbox(v))
+                                   : Outbox{};
         capture_data(v, abs_t, report.repair, q, /*main_phase=*/false);
       }
       ++report.recovery_rounds;
-      route_wire();
     }
     // Absorb the final cycle's in-flight data.
     for (std::size_t a = 0; a <= max_delay; ++a) {
       bus.flip(barrier++);
-      im.for_each_actor([&](std::size_t v) {
-        im.actors[v].learn(bus.inbox(static_cast<Vertex>(v)));
-      });
+      for (Vertex v = 0; v < n; ++v) im.actors[v].learn(bus.inbox(v));
     }
     report.repair.trim();
   }

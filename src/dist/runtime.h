@@ -11,21 +11,25 @@
 // sink, and `dist.*` observability counters.
 //
 // Phases per main round t:
-//   1. barrier flip    — arrivals due at t become readable (deterministic
-//                        canonical-sort + seeded-shuffle order);
-//   2. decide          — actors absorb their inbox and decide, in parallel
-//                        across the worker pool (actor state is strictly
-//                        per-actor, so no locks are needed here);
-//   3. fault + capture — the runtime applies crash/drop/skip verdicts in
-//                        actor-id order and records events and the emergent
-//                        schedule (serial, so capture is deterministic);
-//   4. route           — surviving envelopes are posted to the receivers'
-//                        mailboxes, in parallel, behind the bus's stripe
-//                        locks (the part the TSAN stress battery hammers).
+//   1. barrier flip — arrivals due at t become readable (deterministic
+//                     canonical-sort + seeded-shuffle order);
+//   2. one pass over the actors in id order; for each actor v:
+//        decide  — v absorbs its own inbox and decides;
+//        capture — the runtime applies crash/drop/skip verdicts to v's
+//                  transmission and records events, causal links and the
+//                  emergent schedule;
+//        post    — v's surviving envelopes go straight to the receivers'
+//                  bus boxes (never to an inbox, so actors later in the
+//                  pass still see only what the flip delivered).
 //
-// After the planned horizon, incomplete live actors run the decentralized
-// digest / grant / data recovery protocol (see actor.h) until quiescence,
-// completion, or budget exhaustion.
+// The runtime is single-threaded: actors are processors of the model, not
+// host threads, and a worker pool never beat this serial pass (see
+// docs/DISTRIBUTED.md).  After the planned horizon, incomplete live actors
+// run the decentralized digest / grant / data recovery protocol (see
+// actor.h) until quiescence, completion, or budget exhaustion; its grant
+// and data subrounds are fused passes like the main round, and its digest
+// subround decides in one pass and posts in a second, so a run whose live
+// actors are all complete ends before any digest is sent.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +53,6 @@ struct RuntimeOptions {
   /// absolute: main round t is round t, recovery cycle q is round
   /// horizon + q — the same convention `gossip::solve_with_recovery` uses.
   const fault::FaultPlan* faults = nullptr;
-  /// Worker threads for the decide/route phases; 0 = run serially.
-  std::size_t threads = 0;
   /// Seed for the bus's adversarial (but reproducible) delivery order.
   std::uint64_t seed = 0x5eed;
   /// Run the decentralized recovery protocol after the horizon when live
@@ -61,7 +63,7 @@ struct RuntimeOptions {
   std::size_t extra_round_budget = 0;
   /// Receives send/receive/drop/crash/skip/lost events with the same kinds
   /// and times `sim::simulate` emits — a `gossip::RoundTimeline` plugs in
-  /// directly.  Events are emitted from the serial capture phase only.
+  /// directly.  Events are emitted in actor-id order from capture.
   obs::TraceSink* sink = nullptr;
 };
 

@@ -1,5 +1,7 @@
 #include "graph/io.h"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,8 +21,14 @@ Graph from_edge_list(const std::string& text) {
   if (!(in >> n >> m) || n < 0 || m < 0) {
     throw std::invalid_argument("edge list: malformed header");
   }
+  if (static_cast<unsigned long long>(n) >
+      std::numeric_limits<Vertex>::max()) {
+    throw std::invalid_argument("edge list: vertex count out of range");
+  }
   std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(m));
+  // An edge takes at least 4 characters ("u v\n"), so a header claiming
+  // more edges than the text can hold must not size the reservation.
+  edges.reserve(std::min(static_cast<std::size_t>(m), text.size() / 4));
   for (long long e = 0; e < m; ++e) {
     long long u = 0;
     long long v = 0;
@@ -32,6 +40,11 @@ Graph from_edge_list(const std::string& text) {
     }
     if (u == v) throw std::invalid_argument("edge list: self-loop");
     edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
+  }
+  // Anything but whitespace after the m-th edge ("0 1x", a stray line) is
+  // malformed input, not ignorable padding.
+  if (!(in >> std::ws).eof()) {
+    throw std::invalid_argument("edge list: trailing content after edges");
   }
   return Graph::from_edges(static_cast<Vertex>(n), edges);
 }

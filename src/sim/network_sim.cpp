@@ -12,6 +12,40 @@ namespace mg::sim {
 
 namespace {
 
+/// Shared epilogue of both cores: per-node `missing` counts, `completed`,
+/// and the run's obs counters (the word core adds `sim.words_or_ops`
+/// itself).  `crash_horizon` is the absolute round the run's sends end at.
+void finish_result(SimResult& result, const std::vector<std::size_t>& known,
+                   std::size_t message_count,
+                   [[maybe_unused]] std::uint64_t deliveries,
+                   [[maybe_unused]] const fault::FaultPlan* plan,
+                   [[maybe_unused]] std::size_t crash_horizon) {
+  result.completed = true;
+  for (std::size_t v = 0; v < known.size(); ++v) {
+    result.missing[v] = message_count - known[v];
+    if (result.missing[v] != 0) result.completed = false;
+  }
+
+  MG_OBS_ADD("sim.runs", 1);
+  MG_OBS_ADD("sim.deliveries", deliveries);
+  MG_OBS_ADD("sim.dropped_transmissions", result.injected_drops);
+  MG_OBS_ADD("sim.skipped_sends", result.skipped_sends);
+  if (result.collided_receives > 0) {
+    MG_OBS_ADD("sim.collided_receives", result.collided_receives);
+  }
+  if (result.injected_drops > 0) {
+    MG_OBS_ADD("fault.injected_drops", result.injected_drops);
+  }
+  if (plan != nullptr && plan->has_crashes()) {
+    MG_OBS_ADD("fault.crashes", plan->crashes_before(crash_horizon));
+  }
+  if (result.completed && !result.completion_time.empty()) {
+    MG_OBS_ADD("sim.completion_round",
+               *std::max_element(result.completion_time.begin(),
+                                 result.completion_time.end()));
+  }
+}
+
 /// Shared execution core.  `hold` is the time-0 knowledge state (one bitset
 /// of `message_count` bits per node); completion means every node holds all
 /// `message_count` messages.
@@ -28,15 +62,8 @@ SimResult run_simulation(const graph::Graph& g,
   result.completion_time.assign(n, 0);
   result.missing.assign(n, 0);
 
-  // Fault sources: the legacy (round, sender) list folds into an O(1) hash
-  // set — one lookup per scheduled transmission, however many faults the
-  // plan carries — and a FaultPlan supplies the richer models.  Plan
-  // queries use absolute rounds (offset + local round) so recovery runs
-  // experience the same fabric the base run did.
-  fault::DropSet legacy_drops;
-  for (const auto& [round, sender] : options.drop) {
-    legacy_drops.insert(round, sender);
-  }
+  // Plan queries use absolute rounds (offset + local round) so recovery
+  // runs experience the same fabric the base run did.
   const fault::FaultPlan* plan =
       options.faults != nullptr && !options.faults->empty() ? options.faults
                                                             : nullptr;
@@ -102,10 +129,7 @@ SimResult run_simulation(const graph::Graph& g,
       // queries) and how many transmissions each receiver hears.
       for (const auto& tx : schedule.round(t)) {
         if (plan != nullptr && plan->crashed(tx.sender, abs_t)) continue;
-        if (legacy_drops.contains(t, tx.sender) ||
-            (plan != nullptr && plan->drops(abs_t, tx.sender))) {
-          continue;
-        }
+        if (plan != nullptr && plan->drops(abs_t, tx.sender)) continue;
         if (!hold[tx.sender].test(tx.message)) continue;
         last_tx[tx.sender] = t;
         for (Vertex r : tx.receivers) {
@@ -128,8 +152,7 @@ SimResult run_simulation(const graph::Graph& g,
         }
         continue;
       }
-      if (legacy_drops.contains(t, tx.sender) ||
-          (plan != nullptr && plan->drops(abs_t, tx.sender))) {
+      if (plan != nullptr && plan->drops(abs_t, tx.sender)) {
         ++result.injected_drops;
         if (options.sink != nullptr) {
           options.sink->on_event({"drop", t, tx.sender, tx.message,
@@ -209,31 +232,9 @@ SimResult run_simulation(const graph::Graph& g,
     result.knowledge.push_back(total_known);  // state at time t
   }
 
-  result.completed = true;
-  for (Vertex v = 0; v < n; ++v) {
-    result.missing[v] = message_count - known[v];
-    if (result.missing[v] != 0) result.completed = false;
-  }
+  finish_result(result, known, message_count, deliveries, plan,
+                offset + rounds);
   if (options.keep_final_holds) result.final_holds = std::move(hold);
-
-  MG_OBS_ADD("sim.runs", 1);
-  MG_OBS_ADD("sim.deliveries", deliveries);
-  MG_OBS_ADD("sim.dropped_transmissions", result.injected_drops);
-  MG_OBS_ADD("sim.skipped_sends", result.skipped_sends);
-  if (result.collided_receives > 0) {
-    MG_OBS_ADD("sim.collided_receives", result.collided_receives);
-  }
-  if (result.injected_drops > 0) {
-    MG_OBS_ADD("fault.injected_drops", result.injected_drops);
-  }
-  if (plan != nullptr && plan->has_crashes()) {
-    MG_OBS_ADD("fault.crashes", plan->crashes_before(offset + rounds));
-  }
-  if (result.completed && !result.completion_time.empty()) {
-    MG_OBS_ADD("sim.completion_round",
-               *std::max_element(result.completion_time.begin(),
-                                 result.completion_time.end()));
-  }
   return result;
 }
 
@@ -261,10 +262,6 @@ SimResult run_simulation_words(const graph::Graph& g,
   result.completion_time.assign(n, 0);
   result.missing.assign(n, 0);
 
-  fault::DropSet legacy_drops;
-  for (const auto& [round, sender] : options.drop) {
-    legacy_drops.insert(round, sender);
-  }
   const fault::FaultPlan* plan =
       options.faults != nullptr && !options.faults->empty() ? options.faults
                                                             : nullptr;
@@ -326,7 +323,6 @@ SimResult run_simulation_words(const graph::Graph& g,
   };
 
   std::uint64_t deliveries = 0;
-  const bool has_legacy_drops = !legacy_drops.empty();
   result.knowledge.reserve(rounds + 1);
   result.knowledge.push_back(total_known);  // state at time 0
 
@@ -334,8 +330,7 @@ SimResult run_simulation_words(const graph::Graph& g,
   // stripped copy of the round loop below with the plan/drop/trace/sink
   // branches statically absent.  Identical events and counters; the
   // general loop is the reference and sim_core_test pins the equality.
-  const bool fast_path = plan == nullptr && !has_legacy_drops &&
-                         options.sink == nullptr && !options.record_trace &&
+  const bool fast_path = plan == nullptr && options.sink == nullptr && !options.record_trace &&
                          !collisions;
   if (fast_path) {
     for (std::size_t t = 0; t < rounds; ++t) {
@@ -380,10 +375,7 @@ SimResult run_simulation_words(const graph::Graph& g,
       // queries) and how many transmissions each receiver hears.
       for (const auto& tx : schedule.round(t)) {
         if (plan != nullptr && plan->crashed(tx.sender, abs_t)) continue;
-        if ((has_legacy_drops && legacy_drops.contains(t, tx.sender)) ||
-            (plan != nullptr && plan->drops(abs_t, tx.sender))) {
-          continue;
-        }
+        if (plan != nullptr && plan->drops(abs_t, tx.sender)) continue;
         if (!sender_holds_message(tx.sender, tx.message)) continue;
         last_tx[tx.sender] = t;
         for (Vertex r : schedule.receivers(tx)) {
@@ -407,8 +399,7 @@ SimResult run_simulation_words(const graph::Graph& g,
         }
         continue;
       }
-      if ((has_legacy_drops && legacy_drops.contains(t, tx.sender)) ||
-          (plan != nullptr && plan->drops(abs_t, tx.sender))) {
+      if (plan != nullptr && plan->drops(abs_t, tx.sender)) {
         ++result.injected_drops;
         if (options.sink != nullptr) {
           options.sink->on_event({"drop", t, tx.sender, tx.message,
@@ -496,11 +487,9 @@ SimResult run_simulation_words(const graph::Graph& g,
     result.knowledge.push_back(total_known);  // state at time t
   }
 
-  result.completed = true;
-  for (Vertex v = 0; v < n; ++v) {
-    result.missing[v] = message_count - known[v];
-    if (result.missing[v] != 0) result.completed = false;
-  }
+  finish_result(result, known, message_count, deliveries, plan,
+                offset + rounds);
+  MG_OBS_ADD("sim.words_or_ops", word_ops);
   if (options.keep_final_holds) {
     result.final_holds.reserve(n);
     for (Vertex v = 0; v < n; ++v) {
@@ -513,25 +502,6 @@ SimResult run_simulation_words(const graph::Graph& g,
     }
   }
 
-  MG_OBS_ADD("sim.runs", 1);
-  MG_OBS_ADD("sim.deliveries", deliveries);
-  MG_OBS_ADD("sim.words_or_ops", word_ops);
-  MG_OBS_ADD("sim.dropped_transmissions", result.injected_drops);
-  MG_OBS_ADD("sim.skipped_sends", result.skipped_sends);
-  if (result.collided_receives > 0) {
-    MG_OBS_ADD("sim.collided_receives", result.collided_receives);
-  }
-  if (result.injected_drops > 0) {
-    MG_OBS_ADD("fault.injected_drops", result.injected_drops);
-  }
-  if (plan != nullptr && plan->has_crashes()) {
-    MG_OBS_ADD("fault.crashes", plan->crashes_before(offset + rounds));
-  }
-  if (result.completed && !result.completion_time.empty()) {
-    MG_OBS_ADD("sim.completion_round",
-               *std::max_element(result.completion_time.begin(),
-                                 result.completion_time.end()));
-  }
   return result;
 }
 

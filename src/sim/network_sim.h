@@ -46,13 +46,8 @@ struct SimOptions {
   bool keep_final_holds = true;
   /// Record the full send/receive event trace (O(deliveries) memory).
   bool record_trace = false;
-  /// Transmissions to drop, addressed as (round, sender).  Every matching
-  /// transmission is suppressed entirely (no receiver gets the message).
-  /// Folded into an O(1) hash set at simulation start; kept as a vector
-  /// for construction convenience and backward compatibility — richer
-  /// fault models (probabilistic drops, crashes, delays) go in `faults`.
-  std::vector<std::pair<std::size_t, Vertex>> drop;
   /// Composable fault model applied to the run; nullptr = fault-free.
+  /// Deterministic (round, sender) drops are `fault::FaultPlan::drop`.
   const fault::FaultPlan* faults = nullptr;
   /// Absolute round of this schedule's round 0 from the fault plan's point
   /// of view.  `solve_with_recovery` sets this so faults keep firing at
@@ -107,7 +102,7 @@ struct SimResult {
   /// the downstream cascade of an injected drop.
   std::size_t skipped_sends = 0;
   /// Transmissions suppressed by the fault model (deterministic +
-  /// probabilistic link drops, including the legacy `drop` list).
+  /// probabilistic link drops).
   std::size_t injected_drops = 0;
   /// Transmissions suppressed because the sender had crashed.
   std::size_t crashed_sends = 0;

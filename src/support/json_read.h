@@ -7,8 +7,6 @@
 // repo's writers produce — strings with escape sequences, numbers, bools,
 // null, nested objects/arrays — and rejects everything else by throwing
 // `JsonError` (callers present the message; there is no partial result).
-// tests/json_parser.h is the gtest-flavored sibling used inside test
-// binaries; keep the grammars in sync.
 #pragma once
 
 #include <cctype>

@@ -26,16 +26,16 @@
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "graph/named.h"
-#include "json_parser.h"
 #include "obs/causal.h"
 #include "obs/trace_export.h"
+#include "support/json_read.h"
 #include "test_util.h"
 
 namespace mg::dist {
 namespace {
 
-using testjson::JsonValue;
-using testjson::Parser;
+using support::JsonValue;
+using support::parse_json;
 
 /// Asserts the structural invariants of a reported critical path: the
 /// chain starts at a root (parent 0), every later hop's parent is the
@@ -207,8 +207,7 @@ TEST(DistCausal, FlowTraceRoundTripsThroughParser) {
   std::ostringstream out;
   obs::write_chrome_trace(out, {}, flows);
   const std::string text = out.str();
-  Parser parser(text);
-  const JsonValue doc = parser.parse();
+  const JsonValue doc = parse_json(text);
   const JsonValue& events = doc.at("traceEvents");
   ASSERT_EQ(events.kind, JsonValue::Kind::kArray);
 

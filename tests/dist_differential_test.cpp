@@ -152,24 +152,6 @@ TEST(DistDifferential, TimelineMatchesCentralSimulation) {
                 central.instance.radius());
 }
 
-TEST(DistDifferential, ThreadedExecutionIsIdenticalToSerial) {
-  // The worker pool must not change the emergent behaviour: same graph,
-  // same seed, 0 vs 4 threads, bit-identical schedules.
-  const graph::Graph g = graph::grid(4, 5);
-  for (const gossip::Algorithm algorithm : kAlgorithms) {
-    SCOPED_TRACE(gossip::algorithm_name(algorithm));
-    RuntimeOptions serial;
-    serial.threads = 0;
-    RuntimeOptions threaded;
-    threaded.threads = 4;
-    const DistOutcome a = run_distributed(g, algorithm, serial);
-    const DistOutcome b = run_distributed(g, algorithm, threaded);
-    EXPECT_TRUE(model::equivalent(a.run.emergent, b.run.emergent));
-    EXPECT_TRUE(a.verify.match) << a.verify.detail;
-    EXPECT_TRUE(b.verify.match) << b.verify.detail;
-  }
-}
-
 TEST(DistDifferential, DeliveryOrderShuffleDoesNotChangeBehaviour) {
   // Actors may not depend on the order envelopes land in their inbox: the
   // emergent schedule is invariant across bus shuffle seeds.

@@ -279,26 +279,22 @@ TEST(DistRecoveryProperty, DeadActorsNeverAppearInRepairs) {
   EXPECT_TRUE(outcome.run.recovered);
 }
 
-TEST(DistRecoveryProperty, DeterministicUnderSeedAndThreads) {
+TEST(DistRecoveryProperty, DeterministicUnderSeed) {
   // Same plan + same bus seed => bit-identical emergent and repair
-  // schedules, serial or threaded.
+  // schedules.
   const auto g = graph::grid(4, 4);
   fault::FaultPlan plan;
   plan.drop_rate(0.15).seed(9).crash(5, 6);
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    RuntimeOptions options;
-    options.faults = &plan;
-    options.threads = threads;
-    const DistOutcome a =
-        run_distributed(g, gossip::Algorithm::kConcurrentUpDown, options);
-    const DistOutcome b =
-        run_distributed(g, gossip::Algorithm::kConcurrentUpDown, options);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_TRUE(model::equivalent(a.run.emergent, b.run.emergent));
-    EXPECT_TRUE(model::equivalent(a.run.repair, b.run.repair));
-    EXPECT_EQ(a.run.recovery_rounds, b.run.recovery_rounds);
-    EXPECT_DOUBLE_EQ(a.run.coverage, b.run.coverage);
-  }
+  RuntimeOptions options;
+  options.faults = &plan;
+  const DistOutcome a =
+      run_distributed(g, gossip::Algorithm::kConcurrentUpDown, options);
+  const DistOutcome b =
+      run_distributed(g, gossip::Algorithm::kConcurrentUpDown, options);
+  EXPECT_TRUE(model::equivalent(a.run.emergent, b.run.emergent));
+  EXPECT_TRUE(model::equivalent(a.run.repair, b.run.repair));
+  EXPECT_EQ(a.run.recovery_rounds, b.run.recovery_rounds);
+  EXPECT_DOUBLE_EQ(a.run.coverage, b.run.coverage);
 }
 
 }  // namespace

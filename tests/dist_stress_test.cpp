@@ -1,12 +1,11 @@
-// Concurrency stress battery for the `mg::dist` runtime — the test the TSAN
-// CI leg hammers.  Many actors step on a real worker pool while the mailbox
-// bus takes concurrent posts behind its stripe locks; the assertions are
+// Stress battery for the `mg::dist` runtime: many actors, heavy live faults
+// and many recovery cycles.  The assertions are
 // (1) accounting identities: the RunReport tallies equal both the emergent
 //     schedule's own arithmetic and the `dist.*` observability counters,
 // (2) determinism: for a fixed seed the emergent execution is bit-identical
-//     across reruns and across worker counts,
-// (3) the recovery control plane stays race-free under threads + live
-//     faults,
+//     across reruns, and back-to-back runtimes share no state,
+// (3) the recovery control plane keeps those identities under crashes and
+//     heavy drops,
 // (4) golden digests: a fixed set of runs hashes to digests recorded from
 //     an earlier runtime, so the output is pinned across versions and not
 //     only between two runs of one build.
@@ -15,9 +14,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dist/runtime.h"
@@ -50,16 +47,14 @@ ScheduleTally tally(const model::Schedule& schedule) {
   return t;
 }
 
-TEST(DistStress, ManyActorsManyThreadsAccountingIdentities) {
+TEST(DistStress, ManyActorsAccountingIdentities) {
   const graph::Graph g = graph::grid(8, 8);  // 64 actors
-  RuntimeOptions options;
-  options.threads = 8;
 
 #if MG_OBS_ENABLED
   const obs::Snapshot before = obs::Registry::global().snapshot();
 #endif
   const DistOutcome outcome =
-      run_distributed(g, gossip::Algorithm::kConcurrentUpDown, options);
+      run_distributed(g, gossip::Algorithm::kConcurrentUpDown);
   ASSERT_TRUE(outcome.verify.match) << outcome.verify.detail;
   ASSERT_TRUE(outcome.run.complete);
 
@@ -93,7 +88,6 @@ TEST(DistStress, BitIdenticalRerunsForFixedSeed) {
     SCOPED_TRACE("bus seed " + std::to_string(seed));
     RuntimeOptions options;
     options.faults = &plan;
-    options.threads = 8;
     options.seed = seed;
     const DistOutcome a =
         run_distributed(g, gossip::Algorithm::kConcurrentUpDown, options);
@@ -110,37 +104,8 @@ TEST(DistStress, BitIdenticalRerunsForFixedSeed) {
   }
 }
 
-TEST(DistStress, WorkerCountNeverChangesTheExecution) {
-  const graph::Graph g = graph::cycle(48);
-  fault::FaultPlan plan;
-  plan.drop_rate(0.1).seed(5);
-  std::optional<DistOutcome> reference;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
-                                    std::size_t{8}, std::size_t{16}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    RuntimeOptions options;
-    options.faults = &plan;
-    options.threads = threads;
-    DistOutcome outcome =
-        run_distributed(g, gossip::Algorithm::kUpDown, options);
-    EXPECT_TRUE(outcome.run.complete);
-    if (!reference.has_value()) {
-      reference.emplace(std::move(outcome));
-    } else {
-      EXPECT_TRUE(
-          model::equivalent(reference->run.emergent, outcome.run.emergent));
-      EXPECT_TRUE(
-          model::equivalent(reference->run.repair, outcome.run.repair));
-      EXPECT_EQ(reference->run.recovery_rounds, outcome.run.recovery_rounds);
-      EXPECT_EQ(reference->run.control_messages,
-                outcome.run.control_messages);
-    }
-  }
-}
-
-TEST(DistStress, RecoveryControlPlaneUnderThreadsAndLiveFaults) {
-  // Crash + heavy drops force many digest/grant/data cycles; 8 workers
-  // hammer the stripe locks from both the decide and route phases.
+TEST(DistStress, RecoveryControlPlaneUnderLiveFaults) {
+  // Crash + heavy drops force many digest/grant/data cycles.
   const graph::Graph g = graph::grid(7, 7);
   fault::FaultPlan plan;
   plan.drop_rate(0.25).seed(13).crash(24, 8);
@@ -150,7 +115,6 @@ TEST(DistStress, RecoveryControlPlaneUnderThreadsAndLiveFaults) {
 #endif
   RuntimeOptions options;
   options.faults = &plan;
-  options.threads = 8;
   const DistOutcome outcome =
       run_distributed(g, gossip::Algorithm::kConcurrentUpDown, options);
   // Grid minus one interior vertex stays connected: full closure.
@@ -177,17 +141,15 @@ TEST(DistStress, RecoveryControlPlaneUnderThreadsAndLiveFaults) {
 #endif
 }
 
-TEST(DistStress, RepeatedThreadedRunsShareNothing) {
-  // Back-to-back threaded runs on one graph must not leak state between
-  // runtimes (each builds its own bus, pool, and actors).
+TEST(DistStress, RepeatedRunsShareNothing) {
+  // Back-to-back runs on one graph must not leak state between runtimes
+  // (each builds its own bus and actors).
   const graph::Graph g = graph::grid(5, 6);
   model::Schedule reference;
   for (int iteration = 0; iteration < 6; ++iteration) {
     SCOPED_TRACE("iteration " + std::to_string(iteration));
-    RuntimeOptions options;
-    options.threads = 8;
     const DistOutcome outcome =
-        run_distributed(g, gossip::Algorithm::kTelephone, options);
+        run_distributed(g, gossip::Algorithm::kTelephone);
     ASSERT_TRUE(outcome.verify.match) << outcome.verify.detail;
     if (iteration == 0) {
       reference = outcome.run.emergent;
@@ -278,7 +240,6 @@ struct GoldenCase {
   graph::Graph graph;
   gossip::Algorithm algorithm;
   fault::FaultPlan plan;
-  std::size_t threads = 0;
   std::uint64_t digest = 0;  ///< recorded from an earlier runtime
 };
 
@@ -287,24 +248,19 @@ std::vector<GoldenCase> golden_cases() {
   return {
       // The faulty_dist shape: seeded cubic graphs, 1% drops, recovery on.
       {"cubic32/drop", seeded_cubic(32, 32), Algorithm::kConcurrentUpDown,
-       fault::FaultPlan().drop_rate(0.01).seed(1), 0,
+       fault::FaultPlan().drop_rate(0.01).seed(1),
        0x47f7651830ca0a2cULL},
       {"cubic128/drop", seeded_cubic(128, 128), Algorithm::kConcurrentUpDown,
-       fault::FaultPlan().drop_rate(0.01).seed(2), 0,
+       fault::FaultPlan().drop_rate(0.01).seed(2),
        0xb6235a9832d3e5b8ULL},
       {"cubic256/drop", seeded_cubic(256, 256), Algorithm::kConcurrentUpDown,
-       fault::FaultPlan().drop_rate(0.01).seed(3), 0,
+       fault::FaultPlan().drop_rate(0.01).seed(3),
        0x0be624f3821d94b9ULL},
-      // The same instance as cubic128/drop on 4 workers: the same digest.
-      {"cubic128/drop/threads=4", seeded_cubic(128, 128),
-       Algorithm::kConcurrentUpDown,
-       fault::FaultPlan().drop_rate(0.01).seed(2), 4,
-       0xb6235a9832d3e5b8ULL},
       // Two crashes cut the cycle into two arcs: partial closure only.
       {"cycle24/crash-partition", graph::cycle(24),
        Algorithm::kConcurrentUpDown,
        fault::FaultPlan().drop_rate(0.05).seed(4).crash(6, 4).crash(18, 4),
-       0, 0x91185c351bb00f1fULL},
+       0x91185c351bb00f1fULL},
       // Per-edge delays with the timetable rule (UpDown has no online rule).
       {"grid6x6/delay/timetable", graph::grid(6, 6), Algorithm::kUpDown,
        fault::FaultPlan()
@@ -313,13 +269,12 @@ std::vector<GoldenCase> golden_cases() {
            .delay(0, 1, 2)
            .delay(14, 15, 1)
            .delay(20, 26, 3),
-       0, 0xdc65bebb215bbdf0ULL},
+       0xdc65bebb215bbdf0ULL},
       {"petersen/simple/drop", graph::petersen(), Algorithm::kSimple,
-       fault::FaultPlan().drop_rate(0.1).seed(7), 0,
-       0xcf7ef98099783604ULL},
+       fault::FaultPlan().drop_rate(0.1).seed(7), 0xcf7ef98099783604ULL},
       {"grid7x7/telephone/crash+drop", graph::grid(7, 7),
        Algorithm::kTelephone,
-       fault::FaultPlan().drop_rate(0.1).seed(8).crash(24, 8), 0,
+       fault::FaultPlan().drop_rate(0.1).seed(8).crash(24, 8),
        0xb63276833b2529d1ULL},
   };
 }
@@ -330,7 +285,6 @@ TEST(DistGolden, RunReportDigestsArePinned) {
     FingerprintSink sink;
     RuntimeOptions options;
     options.faults = &c.plan;
-    options.threads = c.threads;
     options.sink = &sink;
     const DistOutcome outcome = run_distributed(c.graph, c.algorithm, options);
     const std::uint64_t digest =

@@ -63,34 +63,6 @@ TEST(FaultPlan, EmptyPlanPerturbsNothing) {
   EXPECT_EQ(faulty.injected_drops, 0u);
 }
 
-TEST(FaultPlan, DeterministicDropMatchesLegacyDropList) {
-  // The legacy (round, sender) vector and a FaultPlan deterministic drop
-  // must produce identical degraded runs — the vector is now folded into
-  // the same O(1) DropSet the plan uses.
-  const SolvedRun run = make_run(graph::fig4_network());
-  const graph::Vertex root = run.sol.instance.tree().root();
-
-  sim::SimOptions legacy;
-  legacy.drop.emplace_back(5, root);
-  legacy.drop.emplace_back(7, graph::Vertex{4});
-  const auto legacy_run =
-      sim::simulate(run.tree, run.sol.schedule, run.initial, legacy);
-
-  fault::FaultPlan plan;
-  plan.drop(5, root).drop(7, 4);
-  sim::SimOptions with_plan;
-  with_plan.faults = &plan;
-  const auto plan_run =
-      sim::simulate(run.tree, run.sol.schedule, run.initial, with_plan);
-
-  EXPECT_FALSE(plan_run.completed);
-  EXPECT_EQ(plan_run.injected_drops, legacy_run.injected_drops);
-  EXPECT_EQ(plan_run.skipped_sends, legacy_run.skipped_sends);
-  EXPECT_EQ(plan_run.missing, legacy_run.missing);
-  EXPECT_EQ(plan_run.final_holds, legacy_run.final_holds);
-  EXPECT_EQ(plan_run.knowledge, legacy_run.knowledge);
-}
-
 TEST(FaultPlan, ProbabilisticDropsAreReproducibleAndSeedSensitive) {
   fault::FaultPlan a;
   a.drop_rate(0.3).seed(1);

@@ -132,15 +132,23 @@ TEST(GraphIo, ParsesExplicitText) {
 TEST(GraphIo, RejectsMalformedHeader) {
   EXPECT_THROW(from_edge_list("abc"), std::invalid_argument);
   EXPECT_THROW(from_edge_list("-1 0"), std::invalid_argument);
+  // Vertex counts past the Vertex range must not wrap around.
+  EXPECT_THROW(from_edge_list("4294967296 0"), std::invalid_argument);
+  EXPECT_THROW(from_edge_list("4294967298 1\n0 5\n"), std::invalid_argument);
 }
 
 TEST(GraphIo, RejectsTruncatedEdges) {
   EXPECT_THROW(from_edge_list("3 2\n0 1\n"), std::invalid_argument);
+  // A huge edge count is a truncated list, not an allocation request.
+  EXPECT_THROW(from_edge_list("3 99999999999999999"), std::invalid_argument);
 }
 
 TEST(GraphIo, RejectsBadEndpoints) {
   EXPECT_THROW(from_edge_list("3 1\n0 5\n"), std::invalid_argument);
   EXPECT_THROW(from_edge_list("3 1\n1 1\n"), std::invalid_argument);
+  // Trailing non-whitespace after the last edge.
+  EXPECT_THROW(from_edge_list("3 1\n0 1x\n"), std::invalid_argument);
+  EXPECT_THROW(from_edge_list("3 1\n0 1\ngarbage\n"), std::invalid_argument);
 }
 
 TEST(GraphIo, DotContainsVerticesAndEdges) {

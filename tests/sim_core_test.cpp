@@ -201,33 +201,5 @@ TEST(SimCore, KeepFinalHoldsOff) {
   }
 }
 
-TEST(SimCore, LegacyDropListMatches) {
-  // The legacy SimOptions::drop list (round, sender) must suppress the
-  // same transmissions on both cores.
-  const graph::Graph g = make_graph(7);
-  const gossip::Solution sol =
-      gossip::solve_gossip(g, gossip::Algorithm::kConcurrentUpDown);
-  const graph::Graph tree = sol.instance.tree().as_graph();
-
-  // Drop the first and last rounds' first transmissions — pairs that are
-  // guaranteed to match real sends.
-  sim::SimOptions bit_options;
-  bit_options.core = sim::SimCore::kBitwise;
-  const std::size_t last = sol.schedule.round_count() - 1;
-  ASSERT_FALSE(sol.schedule.round(0).empty());
-  ASSERT_FALSE(sol.schedule.round(last).empty());
-  bit_options.drop = {{0, sol.schedule.round(0).front().sender},
-                      {last, sol.schedule.round(last).front().sender}};
-  const sim::SimResult bit =
-      sim::simulate(tree, sol.schedule, sol.instance.initial(), bit_options);
-
-  sim::SimOptions word_options = bit_options;
-  word_options.core = sim::SimCore::kWordParallel;
-  const sim::SimResult word =
-      sim::simulate(tree, sol.schedule, sol.instance.initial(), word_options);
-  expect_equal(bit, word);
-  EXPECT_GT(bit.injected_drops, 0u);
-}
-
 }  // namespace
 }  // namespace mg

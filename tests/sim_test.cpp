@@ -64,8 +64,10 @@ TEST(Sim, DroppedTransmissionBreaksCompletion) {
   const auto sol = solved_fig4();
   // Drop the root's very first downward relay: the network can no longer
   // complete (no retransmission in a fixed schedule).
+  fault::FaultPlan plan;
+  plan.drop(1, sol.instance.tree().root());
   SimOptions options;
-  options.drop.emplace_back(1, sol.instance.tree().root());
+  options.faults = &plan;
   const auto result = simulate(sol.instance.tree().as_graph(), sol.schedule,
                                sol.instance.initial(), options);
   EXPECT_FALSE(result.completed);
@@ -86,8 +88,10 @@ TEST(Sim, DropOfLeafUpSendStarvesEveryoneElse) {
     if (sol.instance.tree().is_leaf(v) && labels.lip_count(v) == 1) leaf = v;
   }
   ASSERT_NE(leaf, graph::kNoVertex);
+  fault::FaultPlan plan;
+  plan.drop(0, leaf);
   SimOptions options;
-  options.drop.emplace_back(0, leaf);
+  options.faults = &plan;
   const auto result = simulate(sol.instance.tree().as_graph(), sol.schedule,
                                sol.instance.initial(), options);
   EXPECT_FALSE(result.completed);
