@@ -18,9 +18,11 @@
 // on seeded random cubic graphs at n in {512, 2048} (the request-path
 // workload's graph family): median build ns, ns per transmission, and the
 // same-run ratio simulate_ns / build_ns against a word-parallel simulation
-// of the same schedule.  The ratio is host-independent; the sentinel gates
-// it.  Each builder row must also meet Theorem 1 (n + r rounds) and
-// complete in simulation.
+// of the same schedule; and build_ns / online_ns against `run_online`, the
+// arrival-driven runner of the same send rule.  The ratios are
+// host-independent; the sentinel gates them.  Each row of that section must
+// also meet Theorem 1 (n + r rounds), complete in simulation, and have an
+// online schedule equal to the emitter's round for round.
 //
 //   bench_main [--out FILE] [--quick] [--sanity]
 //
@@ -39,6 +41,7 @@
 
 #include "gossip/bounds.h"
 #include "gossip/concurrent_updown.h"
+#include "gossip/online.h"
 #include "gossip/simple.h"
 #include "gossip/solve.h"
 #include "gossip/updown.h"
@@ -137,8 +140,10 @@ double median(std::vector<double> values) {
 }
 
 /// The `builder` section: ConcurrentUpDown construction cost against a
-/// same-run simulation of the same schedule.  Returns false on a gate
-/// failure (Theorem 1 or incomplete simulation).
+/// same-run simulation of the same schedule and against `run_online`, the
+/// other runner of the same send rule.  Returns false on a gate failure
+/// (Theorem 1, incomplete simulation, or an online schedule that is not
+/// the emitter's round for round).
 bool write_builder_rows(obs::JsonWriter& w) {
   constexpr int kReps = 5;
   bool all_ok = true;
@@ -154,10 +159,12 @@ bool write_builder_rows(obs::JsonWriter& w) {
 
     std::vector<double> build_ns;
     std::vector<double> simulate_ns;
+    std::vector<double> online_ns;
     std::size_t transmissions = 0;
     std::size_t deliveries = 0;
     std::size_t rounds = 0;
     bool complete = true;
+    bool same_online = true;
     // Rep 0 is an untimed warm-up (first-touch page faults, allocator).
     for (int rep = 0; rep <= kReps; ++rep) {
       Stopwatch build_watch;
@@ -167,20 +174,27 @@ bool write_builder_rows(obs::JsonWriter& w) {
       const auto result =
           sim::simulate(tree_graph, schedule, initial, sim_options);
       const double simulated = sim_watch.seconds() * 1e9;
+      // The arrival-driven runner of the same send rule.
+      Stopwatch online_watch;
+      const auto online = gossip::run_online(instance);
+      const double ran = online_watch.seconds() * 1e9;
       if (rep > 0) {
         build_ns.push_back(built);
         simulate_ns.push_back(simulated);
+        online_ns.push_back(ran);
       }
       complete = complete && result.completed;
+      same_online = same_online && online.rounds() == schedule.rounds();
       transmissions = schedule.transmission_count();
       deliveries = schedule.delivery_count();
       rounds = schedule.total_time();
     }
     const double build = median(build_ns);
     const double simulate = median(simulate_ns);
+    const double online = median(online_ns);
     const std::size_t r = instance.radius();
-    const bool row_ok =
-        complete && rounds == gossip::concurrent_updown_time(n, r);
+    const bool row_ok = complete && same_online &&
+                        rounds == gossip::concurrent_updown_time(n, r);
     all_ok = all_ok && row_ok;
 
     w.begin_object();
@@ -195,14 +209,18 @@ bool write_builder_rows(obs::JsonWriter& w) {
     w.field("build_ns_per_tx", build / static_cast<double>(transmissions));
     w.field("simulate_ns", simulate);
     w.field("simulate_over_build", simulate / build);
+    w.field("online_ns", online);
+    w.field("build_over_online", build / online);
     w.field("valid", row_ok);
     w.end_object();
 
     std::printf("builder random_cubic/n=%-5u tx=%8zu build=%8.1f ms "
-                "(%5.1f ns/tx) simulate=%7.1f ms simulate/build=%.3f %s\n",
+                "(%5.1f ns/tx) simulate=%7.1f ms simulate/build=%.3f "
+                "online=%7.1f ms build/online=%.3f %s\n",
                 n, transmissions, build / 1e6,
                 build / static_cast<double>(transmissions), simulate / 1e6,
-                simulate / build, row_ok ? "ok" : "VIOLATION");
+                simulate / build, online / 1e6, build / online,
+                row_ok ? "ok" : "VIOLATION");
   }
   w.end_array();
   return all_ok;

@@ -1,5 +1,5 @@
 // Experiment B6 (§4 online adaptation): the distributed protocol — every
-// processor deciding from (i, j, k, n) plus its children's intervals and
+// processor deciding from (i, j, k, n) plus its children's subtree ends and
 // observed arrivals only — must emit the very same global schedule as the
 // offline ConcurrentUpDown construction.
 #include <cstdio>

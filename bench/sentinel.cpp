@@ -21,8 +21,8 @@
 //     baseline by more than the tolerance (default +25%, e.g. sim_ns_p50);
 //   * ratio metrics  (kind "speedup")  — fail when current falls below the
 //     baseline by more than the tolerance (default -30%, e.g. the engine
-//     warm speedup, the gossip builder's simulate/build ratio, or the
-//     dist replay/actor-run ratio);
+//     warm speedup, the gossip suite's simulate/build and build/online
+//     ratios, or the dist replay/actor-run ratio);
 //   * exact metrics  (round and message counts) — deterministic under the
 //     fixed bench seeds; any increase fails.
 //
@@ -110,13 +110,16 @@ std::optional<SuiteRow> reduce(const JsonValue& doc) {
     exact("rounds_total", sum_over_rows(doc.at("rows"), "rounds"));
     time("wall_ns_total", sum_over_rows(doc.at("rows"), "wall_ns"), 0.75);
     if (doc.has("builder")) {
-      // ConcurrentUpDown construction: the same-run simulate/build ratio
-      // holds across hosts; ns per transmission is host-scoped.
+      // ConcurrentUpDown construction: the same-run simulate/build and
+      // build/online ratios hold across hosts; ns per transmission is
+      // host-scoped.
       for (const JsonValue& row : doc.at("builder").array) {
         const std::string n = std::to_string(
             static_cast<std::uint64_t>(row.at("n").as_number()));
         speedup("simulate_over_build_" + n,
                 row.at("simulate_over_build").as_number());
+        speedup("build_over_online_" + n,
+                row.at("build_over_online").as_number());
         time("build_ns_per_tx_" + n, row.at("build_ns_per_tx").as_number(),
              0.5);
       }

@@ -7,9 +7,11 @@
 //
 //  * `OnlineRule` — the paper's §4 claim made literal: the actor's entire
 //    main-phase behaviour is computed from `(i, j, k, n)` (plus the
-//    locally-known parent/child ids) via `gossip::OnlineProcessor`.  No
-//    schedule is ever shipped to the actor; the ConcurrentUpDown schedule
-//    *emerges* from n independent actors exchanging messages.
+//    locally-known parent/child ids and child subtree ends) via
+//    `gossip::OnlineProcessor`, the arrival-driven runner of the send rule
+//    the central emitter also runs (gossip/updown_rule.h).  No schedule is
+//    ever shipped to the actor; the ConcurrentUpDown schedule *emerges*
+//    from n independent actors exchanging messages.
 //
 //  * `TimetableRule` — the weaker dissemination reading of §4 ("each
 //    processor may send its messages at the specified times") used for the

@@ -112,8 +112,7 @@ class Searcher {
 
     // Try every useful incoming (sender, message).
     for (Vertex u : g_.neighbors(v)) {
-      const bool telephone =
-          options_.variant == model::ModelVariant::kTelephone;
+      const bool telephone = options_.kind == model::ModelKind::kTelephone;
       if (ctx.sender_msg[u] != kUnassigned) {
         if (telephone) continue;
         // Multicast: u may add v as another receiver of the same message.
@@ -189,6 +188,9 @@ ExactSearchResult exact_gossip_search(const graph::Graph& g,
                                       std::size_t max_time,
                                       const ExactSearchOptions& options) {
   MG_EXPECTS(g.vertex_count() >= 2 && g.vertex_count() <= 64);
+  MG_EXPECTS_MSG(options.kind == model::ModelKind::kMulticast ||
+                     options.kind == model::ModelKind::kTelephone,
+                 "exact search implements only multicast and telephone");
   return Searcher(g, max_time, options).run();
 }
 

@@ -22,7 +22,8 @@
 namespace mg::gossip {
 
 struct ExactSearchOptions {
-  model::ModelVariant variant = model::ModelVariant::kMulticast;
+  /// The receive rule searched: multicast or telephone (|D| = 1).
+  model::ModelKind kind = model::ModelKind::kMulticast;
   std::uint64_t node_budget = 20'000'000;
 };
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "support/contracts.h"
-
 namespace mg::model {
 
 namespace {
@@ -115,23 +113,6 @@ const CommModel& beep_model() {
 const CommModel& direct_model() {
   static const DirectModel model;
   return model;
-}
-
-const CommModel& builtin_model(ModelKind kind) {
-  switch (kind) {
-    case ModelKind::kMulticast:
-      return multicast_model();
-    case ModelKind::kTelephone:
-      return telephone_model();
-    case ModelKind::kRadio:
-      return radio_model();
-    case ModelKind::kBeep:
-      return beep_model();
-    case ModelKind::kDirect:
-      return direct_model();
-  }
-  MG_EXPECTS(false);
-  return multicast_model();
 }
 
 const std::vector<const CommModel*>& all_models() {

@@ -29,8 +29,8 @@
 //    send to *any* known processor id, not just graph neighbors; delivery
 //    rules are otherwise the multicast model's.
 //
-// Models are stateless singletons (`builtin_model`, `all_models`); the
-// validator takes one via `ValidatorOptions::model`, the simulator via
+// Models are stateless singletons (`multicast_model()` etc., `all_models`);
+// the validator takes one via `ValidatorOptions::model`, the simulator via
 // `SimOptions::comm`, and `legalize.h` adapts existing schedules to a model
 // or synthesizes model-native ones.
 #pragma once
@@ -112,8 +112,6 @@ class CommModel {
 [[nodiscard]] const CommModel& radio_model();
 [[nodiscard]] const CommModel& beep_model();
 [[nodiscard]] const CommModel& direct_model();
-
-[[nodiscard]] const CommModel& builtin_model(ModelKind kind);
 
 /// All built-ins, bench-matrix order: multicast, telephone, radio, beep,
 /// direct.

@@ -30,6 +30,8 @@ struct Transmission {
   Message message = 0;
   Vertex sender = 0;
   std::vector<Vertex> receivers;  ///< the D set; non-empty, sorted unique
+
+  friend bool operator==(const Transmission&, const Transmission&) = default;
 };
 
 /// One communication round: all transmissions sent at the same time unit.

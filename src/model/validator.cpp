@@ -24,11 +24,7 @@ ValidationReport validate_schedule_general(
     std::size_t message_count, const ValidatorOptions& options) {
   const graph::Vertex n = g.vertex_count();
   const CommModel& model =
-      options.model != nullptr
-          ? *options.model
-          : builtin_model(options.variant == ModelVariant::kTelephone
-                              ? ModelKind::kTelephone
-                              : ModelKind::kMulticast);
+      options.model != nullptr ? *options.model : multicast_model();
   const bool collisions = model.collision_loss();
   ValidationReport report;
 

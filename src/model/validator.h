@@ -25,7 +25,6 @@
 //      arrivals do not count.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -35,20 +34,12 @@
 
 namespace mg::model {
 
-/// Which communication model to enforce (legacy selector; the general
-/// mechanism is `ValidatorOptions::model`).
-enum class ModelVariant : std::uint8_t {
-  kMulticast,  ///< D may be any neighbor subset (the paper's model)
-  kTelephone,  ///< |D| = 1 (the restricted unicasting model)
-};
-
 struct ValidatorOptions {
-  ModelVariant variant = ModelVariant::kMulticast;
   /// Require every processor to end holding all n messages (gossip
   /// completion).  Disable to validate partial schedules (e.g. broadcast).
   bool require_completion = true;
-  /// Communication model to validate against; overrides `variant` when
-  /// set.  nullptr = the variant's built-in (multicast or telephone).
+  /// Communication model to validate against; nullptr = the paper's
+  /// multicast model.
   const CommModel* model = nullptr;
 };
 

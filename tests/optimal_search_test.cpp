@@ -16,7 +16,7 @@ using graph::SearchStatus;
 
 ExactSearchOptions telephone_options() {
   ExactSearchOptions options;
-  options.variant = model::ModelVariant::kTelephone;
+  options.kind = model::ModelKind::kTelephone;
   return options;
 }
 
@@ -25,6 +25,12 @@ TEST(ExactSearch, TriangleInTwoRounds) {
   ASSERT_EQ(result.status, SearchStatus::kFound);
   EXPECT_TRUE(model::validate_schedule(graph::complete(3), result.schedule).ok);
   EXPECT_LE(result.schedule.total_time(), 2u);
+}
+
+TEST(ExactSearch, RejectsModelsItDoesNotImplement) {
+  EXPECT_THROW((void)exact_gossip_search(graph::complete(3), 2,
+                                         {.kind = model::ModelKind::kRadio}),
+               ContractViolation);
 }
 
 TEST(ExactSearch, NothingBelowTrivialBound) {
@@ -117,7 +123,7 @@ TEST(ExactSearch, PetersenNMinusOneTelephone) {
   ASSERT_EQ(result.status, SearchStatus::kFound);
   EXPECT_TRUE(result.schedule.is_telephone());
   model::ValidatorOptions vopts;
-  vopts.variant = model::ModelVariant::kTelephone;
+  vopts.model = &model::telephone_model();
   EXPECT_TRUE(model::validate_schedule(g, result.schedule, {}, vopts).ok);
 }
 

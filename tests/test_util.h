@@ -65,9 +65,9 @@ inline const std::vector<Family>& families() {
 /// returns the report; fails the current test on violation.
 inline model::ValidationReport expect_valid_gossip(
     const gossip::Instance& instance, const model::Schedule& schedule,
-    model::ModelVariant variant = model::ModelVariant::kMulticast) {
+    const model::CommModel* comm = nullptr) {
   model::ValidatorOptions options;
-  options.variant = variant;
+  options.model = comm;
   auto report = model::validate_schedule(instance.tree().as_graph(), schedule,
                                          instance.initial(), options);
   EXPECT_TRUE(report.ok) << report.error;

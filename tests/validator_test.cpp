@@ -115,7 +115,7 @@ TEST(Validator, TelephoneVariantRejectsMulticast) {
   Schedule s;
   s.add(0, {1, 1, {0, 2}});
   ValidatorOptions options;
-  options.variant = ModelVariant::kTelephone;
+  options.model = &model::telephone_model();
   options.require_completion = false;
   const auto report = validate_schedule(path(3), s, {}, options);
   EXPECT_FALSE(report.ok);
